@@ -177,9 +177,7 @@ def cmd_check_fundamental(args, parser):
         try:
             rows.extend(R.row_from_bound(br) for br in B.check_min_drdf_partition(g, mode))
         except ResourceLimitError as e:
-            rows.append(
-                {"id": "min_drdf_partition", "params": {"context": desc}, "skipped": str(e)}
-            )
+            rows.append(R.skipped_row("min_drdf_partition", desc, str(e)))
     return {"graphs": descs, "mode": mode}, rows, None
 
 
@@ -193,9 +191,7 @@ def cmd_check_cartesian(args, parser):
     try:
         rows = [R.row_from_bound(br) for br in B.check_cartesian(g, h)]
     except ResourceLimitError as e:
-        rows = [
-            {"id": "cartesian_bounds", "params": {"context": f"{dg} x {dh}"}, "skipped": str(e)}
-        ]
+        rows = [R.skipped_row("cartesian_bounds", f"{dg} x {dh}", str(e))]
     return {"g": dg, "h": dh}, rows, None
 
 
@@ -215,10 +211,7 @@ def cmd_check_twins(args, parser):
             try:
                 rows.append(R.row_from_bound(B.check_twin(g, u, kind)))
             except ResourceLimitError as e:
-                rows.append(
-                    {"id": f"{kind}_sandwich",
-                     "params": {"context": f"{desc}, vertex {u}"}, "skipped": str(e)}
-                )
+                rows.append(R.skipped_row(f"{kind}_sandwich", f"{desc}, vertex {u}", str(e)))
     return {"graph": desc, "kind": args.kind}, rows, None
 
 
@@ -413,6 +406,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except DrdError as e:
         print(f"internal error: {e}", file=sys.stderr)
+        return 3
+    except Exception as e:  # any other fault is internal too; exit 1 means a claim failed
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     if raw is not None:
         sys.stdout.write(raw)

@@ -69,18 +69,6 @@ class Graph:
         """Edges as sorted (u, v) pairs with u < v."""
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self.adj[v] | {v}
-
-    def relabel(self, name: str | None) -> Graph:
-        return Graph(self.n, self.adj, name)
-
     def __repr__(self):  # pragma: no cover - debugging aid
         tag = f" {self.name!r}" if self.name else ""
         return f"<Graph{tag} n={self.n} m={self.edge_count}>"

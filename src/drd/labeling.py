@@ -10,29 +10,32 @@ such that every 0-vertex has two neighbors valued 2 or one valued 3
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import ClassVar, Iterable, Mapping
 
 from .errors import InvalidArgumentsError
 from .graph import Graph
 
 VertexSet = frozenset[int]
 
-DR_VALUES = (0, 1, 2, 3)
-ROMAN_VALUES = (0, 1, 2)
-
 
 @dataclass(frozen=True)
-class DRLabeling:
-    """A function V -> {0,1,2,3}, stored as a value per vertex index."""
+class Labeling:
+    """A function V -> ALPHABET, stored as a value per vertex index.
+
+    Subclasses set only ALPHABET; equality also compares the class, so a
+    double Roman and a Roman labeling with the same values differ.
+    """
 
     values: tuple[int, ...]
+    ALPHABET: ClassVar[tuple[int, ...]] = ()
 
     def __post_init__(self):
         if not self.values:
             raise InvalidArgumentsError("labeling needs at least one vertex")
         for v, x in enumerate(self.values):
-            if x not in DR_VALUES:
-                raise InvalidArgumentsError(f"value {x} at vertex {v} not in {{0,1,2,3}}")
+            if x not in self.ALPHABET:
+                alphabet = ",".join(str(a) for a in self.ALPHABET)
+                raise InvalidArgumentsError(f"value {x} at vertex {v} not in {{{alphabet}}}")
 
     @property
     def n(self) -> int:
@@ -43,29 +46,16 @@ class DRLabeling:
         return sum(self.values)
 
 
-@dataclass(frozen=True)
-class RomanLabeling:
+class DRLabeling(Labeling):
+    """A function V -> {0,1,2,3}."""
+
+    ALPHABET = (0, 1, 2, 3)
+
+
+class RomanLabeling(Labeling):
     """A function V -> {0,1,2}."""
 
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise InvalidArgumentsError("labeling needs at least one vertex")
-        for v, x in enumerate(self.values):
-            if x not in ROMAN_VALUES:
-                raise InvalidArgumentsError(f"value {x} at vertex {v} not in {{0,1,2}}")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.values)
-
-
-Labeling = Union[DRLabeling, RomanLabeling]
+    ALPHABET = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -138,10 +128,6 @@ def is_dominating(g: Graph, d: Iterable[int]) -> bool:
     for v in members:
         covered.update(g.adj[v])
     return len(covered) == g.n
-
-
-def weight(f: Labeling) -> int:
-    return sum(f.values)
 
 
 def partition(f: DRLabeling) -> tuple[VertexSet, VertexSet, VertexSet, VertexSet]:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .bounds import BoundReport, PairScanResult
-from .graph import Graph, serialize_graph6
-from .labeling import DRLabeling, RomanLabeling, Verdict, serialize_labeling
+from .graph import serialize_graph6
+from .labeling import Labeling, Verdict, serialize_labeling
 
 CSV_COLUMNS = (
     "id",
@@ -51,16 +51,20 @@ def make_report(command: str, inputs: dict, results: list[dict], elapsed_ms: int
 
 
 def witness_text(witness) -> str:
-    if isinstance(witness, (DRLabeling, RomanLabeling)):
+    if isinstance(witness, Labeling):
         return serialize_labeling(witness)
     return ",".join(str(v) for v in sorted(witness))
 
 
+def skipped_row(row_id: str, context: str, reason: str) -> dict:
+    """The row of a check that did not run, saying why."""
+    return {"id": row_id, "params": {"context": context}, "skipped": reason}
+
+
 def row_from_bound(br: BoundReport) -> dict:
-    row: dict = {"id": br.bound_id, "params": {"context": br.context}}
     if br.skipped is not None:
-        row["skipped"] = br.skipped
-        return row
+        return skipped_row(br.bound_id, br.context, br.skipped)
+    row: dict = {"id": br.bound_id, "params": {"context": br.context}}
     row["lhs"] = br.lhs
     row["rhs"] = list(br.rhs) if isinstance(br.rhs, tuple) else br.rhs
     row["relation"] = br.relation
@@ -91,10 +95,6 @@ def row_from_verdict(kind: str, verdict: Verdict, params: dict) -> dict:
             {"vertex": v.vertex, "condition": v.condition} for v in verdict.violations
         ]
     return row
-
-
-def graph_text(g: Graph) -> str:
-    return serialize_graph6(g)
 
 
 def load_schema() -> dict:

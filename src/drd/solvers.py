@@ -2,7 +2,10 @@
 
 Each invariant gets a branch-and-bound solver plus an independent exhaustive
 oracle (`brute_force`). The two routes share nothing beyond the graph type,
-so agreement between them is meaningful evidence of correctness.
+so agreement between them is meaningful evidence of correctness. Roman and
+double Roman domination share one labeling engine (`_label_search`), which
+differs between them only in the alphabet, the value order and how much
+neighbor credit a 0-vertex needs.
 
 Search-space note: the double Roman solver branches over {0,2,3} only. A
 minimum-weight labeling never needs the value 1 (any 1 can be folded into a
@@ -89,21 +92,31 @@ def greedy_dominating_set(g: Graph) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # Branch-and-bound engines
 #
-# The labeling engines keep, per vertex, the number of already-assigned
-# neighbors valued 2 and 3 and the number of still-unassigned neighbors.
-# That is enough to detect irreparable vertices on the fly and to price
-# vertices that can no longer be saved by a neighbor.
+# The Roman and double Roman conditions are one rule: a 0-vertex must collect
+# `need` credit from its neighbors, where a 2 gives 1 and a 3 gives 2 (GAIN).
+# Roman is need = 1 over {0,1,2}; double Roman is need = 2 over {0,2,3}, i.e.
+# a 3-neighbor or two 2-neighbors. One labeling engine serves both.
+
+GAIN = (0, 0, 1, 2)
 
 
-def _dr_search(
+def _label_search(
     adj: tuple[tuple[int, ...], ...],
     order: list[int],
     value_order: tuple[int, ...],
+    need: int,
     best_w: int,
     best_vals: list[int] | None,
     stop_on_improve: bool,
 ) -> tuple[int, list[int] | None, int]:
-    """DFS over {0,2,3} assignments in `order`, pruning against best_w.
+    """DFS over `value_order` assignments in `order`, pruning against best_w.
+
+    Each vertex keeps one counter,
+    key[v] = need * (unassigned neighbors of v) + credit(v),
+    so key[v] < need exactly when v has no unassigned neighbor left and too
+    little credit: a 0 there is irreparable, and an unassigned vertex there
+    must take a nonzero value, at least need in either searched alphabet
+    ({0,1,2} with need 1, {0,2,3} with need 2); that prices the lower bound.
 
     With stop_on_improve the search halts at the first assignment strictly
     beating best_w; seeding best_w = opt + 1 and assigning values in
@@ -111,34 +124,26 @@ def _dr_search(
     """
     n = len(adj)
     vals = [-1] * n
-    cnt2 = [0] * n
-    cnt3 = [0] * n
-    un = [len(a) for a in adj]
+    key = [need * len(a) for a in adj]
     nodes = 0
     done = False
     rng = range(n)
 
     def assign(w: int, x: int) -> bool:
         vals[w] = x
-        ok = not (x == 0 and cnt3[w] == 0 and cnt2[w] < 2 and un[w] == 0)
+        ok = not (x == 0 and key[w] < need)
+        d = GAIN[x] - need
         for u in adj[w]:
-            un[u] -= 1
-            if x == 2:
-                cnt2[u] += 1
-            elif x == 3:
-                cnt3[u] += 1
-            if vals[u] == 0 and cnt3[u] == 0 and cnt2[u] < 2 and un[u] == 0:
+            key[u] += d
+            if vals[u] == 0 and key[u] < need:
                 ok = False
         return ok
 
     def unassign(w: int, x: int):
         vals[w] = -1
+        d = GAIN[x] - need
         for u in adj[w]:
-            un[u] += 1
-            if x == 2:
-                cnt2[u] -= 1
-            elif x == 3:
-                cnt3[u] -= 1
+            key[u] -= d
 
     def rec(depth: int, wgt: int):
         nonlocal best_w, best_vals, nodes, done
@@ -150,12 +155,10 @@ def _dr_search(
                 if stop_on_improve:
                     done = True
             return
-        # every unassigned vertex with no unassigned neighbor, no 3-neighbor
-        # and at most one 2-neighbor must itself take a value >= 2
         lb = 0
         for v in rng:
-            if vals[v] < 0 and un[v] == 0 and cnt3[v] == 0 and cnt2[v] <= 1:
-                lb += 2
+            if vals[v] < 0 and key[v] < need:
+                lb += need
         if wgt + lb >= best_w:
             return
         w = order[depth]
@@ -166,73 +169,6 @@ def _dr_search(
                 rec(depth + 1, wgt + x)
                 if done:
                     vals[w] = -1  # counters no longer needed
-                    return
-            unassign(w, x)
-
-    rec(0, 0)
-    return best_w, best_vals, nodes
-
-
-def _roman_search(
-    adj: tuple[tuple[int, ...], ...],
-    order: list[int],
-    value_order: tuple[int, ...],
-    best_w: int,
-    best_vals: list[int] | None,
-    stop_on_improve: bool,
-) -> tuple[int, list[int] | None, int]:
-    """Same engine shape as _dr_search over {0,1,2} with the Roman condition."""
-    n = len(adj)
-    vals = [-1] * n
-    cnt2 = [0] * n
-    un = [len(a) for a in adj]
-    nodes = 0
-    done = False
-    rng = range(n)
-
-    def assign(w: int, x: int) -> bool:
-        vals[w] = x
-        ok = not (x == 0 and cnt2[w] == 0 and un[w] == 0)
-        for u in adj[w]:
-            un[u] -= 1
-            if x == 2:
-                cnt2[u] += 1
-            if vals[u] == 0 and cnt2[u] == 0 and un[u] == 0:
-                ok = False
-        return ok
-
-    def unassign(w: int, x: int):
-        vals[w] = -1
-        for u in adj[w]:
-            un[u] += 1
-            if x == 2:
-                cnt2[u] -= 1
-
-    def rec(depth: int, wgt: int):
-        nonlocal best_w, best_vals, nodes, done
-        nodes += 1
-        if depth == n:
-            if wgt < best_w:
-                best_w = wgt
-                best_vals = vals.copy()
-                if stop_on_improve:
-                    done = True
-            return
-        # vertices no 2-neighbor can ever reach must pay at least 1 themselves
-        lb = 0
-        for v in rng:
-            if vals[v] < 0 and un[v] == 0 and cnt2[v] == 0:
-                lb += 1
-        if wgt + lb >= best_w:
-            return
-        w = order[depth]
-        for x in value_order:
-            if wgt + x >= best_w:
-                continue
-            if assign(w, x):
-                rec(depth + 1, wgt + x)
-                if done:
-                    vals[w] = -1
                     return
             unassign(w, x)
 
@@ -369,12 +305,12 @@ def solve_roman(g: Graph, canonical: bool = False, max_n: int | None = None) -> 
         inc_vals = [2 if v in greedy else 0 for v in range(g.n)]
     else:
         inc_w, inc_vals = g.n, [1] * g.n
-    best_w, best_vals, nodes = _roman_search(
-        adj, list(range(g.n)), (2, 0, 1), inc_w, inc_vals, False
+    best_w, best_vals, nodes = _label_search(
+        adj, list(range(g.n)), (2, 0, 1), 1, inc_w, inc_vals, False
     )
     if canonical:
-        best_w, best_vals, extra = _roman_search(
-            adj, list(range(g.n)), (0, 1, 2), best_w + 1, None, True
+        best_w, best_vals, extra = _label_search(
+            adj, list(range(g.n)), (0, 1, 2), 1, best_w + 1, None, True
         )
         nodes += extra
     if best_vals is None:
@@ -398,12 +334,12 @@ def solve_double_roman(g: Graph, canonical: bool = False, max_n: int | None = No
     greedy = greedy_dominating_set(g)
     inc_w = 3 * len(greedy)
     inc_vals = [3 if v in greedy else 0 for v in range(g.n)]
-    best_w, best_vals, nodes = _dr_search(
-        adj, _degree_order(g), (3, 2, 0), inc_w, inc_vals, False
+    best_w, best_vals, nodes = _label_search(
+        adj, _degree_order(g), (3, 2, 0), 2, inc_w, inc_vals, False
     )
     if canonical:
-        best_w, best_vals, extra = _dr_search(
-            adj, list(range(g.n)), (0, 2, 3), best_w + 1, None, True
+        best_w, best_vals, extra = _label_search(
+            adj, list(range(g.n)), (0, 2, 3), 2, best_w + 1, None, True
         )
         nodes += extra
     if best_vals is None:

@@ -11,6 +11,7 @@ import sys
 import jsonschema
 import pytest
 
+import drd.cli
 from drd.cli import build_parser, main, parse_family
 from drd.errors import InvalidSpecError
 from drd.graph import FamilySpec, parse_graph
@@ -90,6 +91,15 @@ def test_bad_graph6_exit_code(capsys):
 
 def test_missing_edge_list_exit_code(capsys):
     assert main(["compute", "--edge-list", "/nonexistent/file"]) == 2
+
+
+def test_unexpected_fault_exits_3_not_1(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(drd.cli.SOLVERS, "gdr", boom)
+    assert main(["compute", "--family", "path:3"]) == 3
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_no_graph_source_is_usage_error(capsys):

@@ -28,9 +28,10 @@ def test_labeling_types():
     f = DRLabeling((0, 3, 0))
     assert f.n == 3 and f.weight == 3
     assert RomanLabeling((1, 0, 2)).weight == 3
-    with pytest.raises(InvalidArgumentsError):
+    assert DRLabeling((1,)) != RomanLabeling((1,))
+    with pytest.raises(InvalidArgumentsError, match=r"value 4 at vertex 1 not in \{0,1,2,3\}"):
         DRLabeling((0, 4))
-    with pytest.raises(InvalidArgumentsError):
+    with pytest.raises(InvalidArgumentsError, match=r"value 3 at vertex 0 not in \{0,1,2\}"):
         RomanLabeling((3,))
     with pytest.raises(InvalidArgumentsError):
         DRLabeling(())

@@ -88,13 +88,13 @@ def test_full_space_brute_matches_reduced(rng):
                 == brute_force(g, "double_roman").value)
 
 
-def test_canonical_witness_is_deterministic_and_least():
+def test_canonical_witness_is_deterministic_and_least(graphs_upto_5):
     g = path(4)
     a = solve_double_roman(g, canonical=True)
     b = solve_double_roman(g, canonical=True)
     assert a.witness == b.witness == DRLabeling((0, 3, 0, 2))
     assert a.witness == brute_force(g, "double_roman").witness
-    for g2 in [cycle(6), grid2(3), star(4)]:
+    for g2 in [cycle(6), grid2(3), star(4), *graphs_upto_5]:
         assert (solve_double_roman(g2, canonical=True).witness
                 == brute_force(g2, "double_roman").witness)
         assert (solve_roman(g2, canonical=True).witness
