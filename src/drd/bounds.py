@@ -8,7 +8,6 @@ the value the construction promises, leaving confirmation to the caller.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentsError, ResourceLimitError
@@ -28,6 +27,7 @@ from .graph import (
 )
 from .labeling import DRLabeling, partition
 from .solvers import (
+    check_solver_cap,
     enumerate_min_drdfs,
     solve_domination,
     solve_double_roman,
@@ -185,9 +185,14 @@ def check_cartesian(g: Graph, h: Graph) -> list[BoundReport]:
     ]
 
 
-def check_twin(g: Graph, u: int, kind: str) -> BoundReport:
+def check_twin(g: Graph, u: int, kind: str, base: int | None = None) -> BoundReport:
     """Adding a twin never lowers the value and raises it by at most 1
-    (true twin, adjacent to the vertex too) or 2 (false twin)."""
+    (true twin, adjacent to the vertex too) or 2 (false twin).
+
+    base, when given, is gamma_dR(g) from an earlier row, so checks over
+    many vertices solve g once. Both sizes are tested against the solver
+    cap before anything is solved.
+    """
     if kind == "true_twin":
         h = add_true_twin(g, u)
         width = 1
@@ -196,7 +201,10 @@ def check_twin(g: Graph, u: int, kind: str) -> BoundReport:
         width = 2
     else:
         raise InvalidArgumentsError(f"unknown twin kind {kind!r}")
-    base = solve_double_roman(g).value
+    for size in (g.n, h.n):
+        check_solver_cap(size, "solve_double_roman")
+    if base is None:
+        base = solve_double_roman(g).value
     grown = solve_double_roman(h).value
     return _report(
         f"{kind}_sandwich", grown, (base, base + width), "between", f"{_ctx(g)}, vertex {u}"
@@ -269,18 +277,83 @@ def _pair_hit(g: Graph, a: int, b: int) -> bool:
     return solve_roman(g).value == a and solve_double_roman(g).value == b
 
 
-def _scan_chunk(args: tuple[int, int, int, int, int, bool]) -> tuple[int, int | None]:
-    n, start, stop, a, b, connected_only = args
+# Verdicts stored per edge mask during a scan; 0 means not reached yet.
+_SKIPPED = 1  # disconnected while connected_only is set
+_MISSED = 2  # scanned, and the pair did not occur
+
+
+def _transposition_tables(
+    n: int, pairs: list[tuple[int, int]], split: int
+) -> list[tuple[list[int], list[int]]]:
+    """For each adjacent transposition (i, i+1) of the vertices, two lookup
+    tables mapping the low ``split`` bits and the remaining high bits of an
+    edge mask to their images; OR-ing the two lookups relabels the mask."""
+    index = {pair: k for k, pair in enumerate(pairs)}
+    tables = []
+    for i in range(n - 1):
+        swap = {i: i + 1, i + 1: i}
+        image = [
+            1 << index[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs
+        ]
+        halves = []
+        for shift, width in ((0, split), (split, len(pairs) - split)):
+            table = [0] * (1 << width)
+            for value in range(1, 1 << width):
+                low = value & -value
+                table[value] = table[value ^ low] | image[shift + low.bit_length() - 1]
+            halves.append(table)
+        tables.append((halves[0], halves[1]))
+    return tables
+
+
+def _mark_class(
+    verdicts: bytearray,
+    mask: int,
+    verdict: int,
+    tables: list[tuple[list[int], list[int]]],
+    split: int,
+) -> None:
+    """Store verdict on every mask isomorphic to mask. Adjacent
+    transpositions generate the symmetric group, so a walk along them
+    reaches the whole class, each mask once."""
+    low_bits = (1 << split) - 1
+    verdicts[mask] = verdict
+    stack = [mask]
+    while stack:
+        m = stack.pop()
+        low, high = m & low_bits, m >> split
+        for low_table, high_table in tables:
+            image = low_table[low] | high_table[high]
+            if not verdicts[image]:
+                verdicts[image] = verdict
+                stack.append(image)
+
+
+def _scan_order(n: int, a: int, b: int, connected_only: bool) -> tuple[int, Graph | None]:
+    """Scan the labeled graphs on n vertices in ascending edge-mask order:
+    graphs scanned up to and including the first hit, and the hit.
+
+    Only the first mask of each isomorphism class is built and solved; its
+    verdict is then stored on the whole class, so later masks of the class
+    cost a byte each. The first hit in mask order is the first mask of the
+    first class that hits, which is one that gets solved.
+    """
     pairs = edge_positions(n)
-    scanned = 0
-    for mask in range(start, stop):
+    split = (len(pairs) + 1) // 2
+    tables = _transposition_tables(n, pairs, split)
+    verdicts = bytearray(1 << len(pairs))
+    mask = 0
+    while mask != -1:
         g = graph_from_edge_mask(n, mask, pairs)
         if connected_only and not is_connected(g):
-            continue
-        scanned += 1
-        if _pair_hit(g, a, b):
-            return scanned, mask
-    return scanned, None
+            verdict = _SKIPPED
+        elif _pair_hit(g, a, b):
+            return verdicts.count(_MISSED, 0, mask) + 1, g
+        else:
+            verdict = _MISSED
+        _mark_class(verdicts, mask, verdict, tables, split)
+        mask = verdicts.find(0, mask + 1)
+    return verdicts.count(_MISSED), None
 
 
 def scan_pair_realizability(
@@ -294,8 +367,12 @@ def scan_pair_realizability(
     number a and double Roman number b.
 
     Enumeration order is ascending vertex count, then ascending edge
-    bitmask; the reported graph and scan count are those of the first hit
-    in that order no matter how many worker processes run.
+    bitmask; the reported graph is the first hit in that order and
+    graphs_scanned counts every labeled graph scanned up to it (with
+    connected_only, the connected ones). Both invariants are the same on
+    isomorphic graphs, so each isomorphism class is solved once, at its
+    first mask, and its other masks only add to the count. processes is
+    validated for compatibility; the scan runs in this process.
     """
     if n_max > MAX_ENUMERATION_N:
         raise ResourceLimitError(
@@ -306,31 +383,10 @@ def scan_pair_realizability(
     if processes < 1:
         raise InvalidArgumentsError(f"need processes >= 1, got {processes}")
 
-    chunks = []
-    for n in range(1, n_max + 1):
-        total = 1 << len(edge_positions(n))
-        step = total if processes == 1 else max(1024, -(-total // (processes * 8)))
-        for start in range(0, total, step):
-            chunks.append((n, start, min(start + step, total), a, b, connected_only))
-
     scanned = 0
-    hit: tuple[int, int] | None = None
-    if processes == 1:
-        for chunk in chunks:
-            part, mask = _scan_chunk(chunk)
-            scanned += part
-            if mask is not None:
-                hit = (chunk[0], mask)
-                break
-    else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            for chunk, (part, mask) in zip(chunks, pool.map(_scan_chunk, chunks)):
-                scanned += part
-                if mask is not None:
-                    hit = (chunk[0], mask)
-                    break
-
-    found = None
-    if hit is not None:
-        found = graph_from_edge_mask(hit[0], hit[1])
-    return PairScanResult(a, b, n_max, found, scanned, connected_only)
+    for n in range(1, n_max + 1):
+        part, found = _scan_order(n, a, b, connected_only)
+        scanned += part
+        if found is not None:
+            return PairScanResult(a, b, n_max, found, scanned, connected_only)
+    return PairScanResult(a, b, n_max, None, scanned, connected_only)

@@ -206,10 +206,13 @@ def cmd_check_twins(args, parser):
     kinds = {"true": ("true_twin",), "false": ("false_twin",),
              "both": ("true_twin", "false_twin")}[args.kind]
     rows = []
+    base = None  # gamma_dR(g), solved by the first row that gets past the size cap
     for u in vertices:
         for kind in kinds:
             try:
-                rows.append(R.row_from_bound(B.check_twin(g, u, kind)))
+                br = B.check_twin(g, u, kind, base)
+                base = br.rhs[0]
+                rows.append(R.row_from_bound(br))
             except ResourceLimitError as e:
                 rows.append(R.skipped_row(f"{kind}_sandwich", f"{desc}, vertex {u}", str(e)))
     return {"graph": desc, "kind": args.kind}, rows, None
@@ -369,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--connected-only", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility and must be >= 1; the scan "
+                        "solves each isomorphism class once on one process")
     p.set_defaults(func=cmd_check_pairs)
 
     p = sub.add_parser("construct", help="emit a constructed graph")

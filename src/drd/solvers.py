@@ -70,6 +70,12 @@ def _check_cap(n: int, cap: int, what: str):
         raise ResourceLimitError(f"{what} supports n <= {cap}, got n = {n}")
 
 
+def check_solver_cap(n: int, what: str) -> None:
+    """Raise the ResourceLimitError that solver ``what`` would raise on a
+    graph of n vertices under the default cap, without solving anything."""
+    _check_cap(n, _solver_cap(None), what)
+
+
 def greedy_dominating_set(g: Graph) -> frozenset[int]:
     """Pick the vertex covering the most uncovered vertices until done.
 

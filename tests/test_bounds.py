@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import drd.bounds
 from drd.bounds import (
     build_corona_realization,
     build_roman_pair_graph,
@@ -19,7 +20,10 @@ from drd.graph import (
     complete,
     cycle,
     disjoint_union,
+    edge_positions,
+    graph_from_edge_mask,
     grid2,
+    is_connected,
     path,
     serialize_graph6,
     star,
@@ -164,3 +168,79 @@ def test_pair_scan_parallel_matches_sequential():
 def test_pair_scan_caps():
     with pytest.raises(ResourceLimitError):
         scan_pair_realizability(2, 3, n_max=8)
+
+
+def _reference_scan_table(n_max: int) -> list[tuple[int, int, bool, int, int]]:
+    """(n, mask, connected, gamma_R, gamma_dR) for every labeled graph up
+    to n_max vertices, in scan order, both invariants solved on every one."""
+    table = []
+    for n in range(1, n_max + 1):
+        pairs = edge_positions(n)
+        for mask in range(1 << len(pairs)):
+            g = graph_from_edge_mask(n, mask, pairs)
+            table.append(
+                (n, mask, is_connected(g), solve_roman(g).value, solve_double_roman(g).value)
+            )
+    return table
+
+
+def test_pair_scan_matches_plain_loop():
+    table = _reference_scan_table(5)
+    for a in range(1, 11):
+        for b in range(a, 2 * a + 2):
+            for connected_only in (True, False):
+                scanned, found = 0, None
+                for n, mask, connected, gr, gdr in table:
+                    if connected_only and not connected:
+                        continue
+                    scanned += 1
+                    if (gr, gdr) == (a, b):
+                        found = graph_from_edge_mask(n, mask)
+                        break
+                r = scan_pair_realizability(a, b, n_max=5, connected_only=connected_only)
+                case = (a, b, connected_only)
+                assert r.graphs_scanned == scanned, case
+                assert (r.found is None) == (found is None), case
+                if found is not None:
+                    assert r.found.adj == found.adj, case
+
+
+def test_pair_scan_solves_each_class_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        drd.bounds, "solve_roman", lambda g: calls.append(g) or solve_roman(g)
+    )
+    r = scan_pair_realizability(2, 4, n_max=6)
+    assert r.found is None and r.graphs_scanned == 27476
+    assert len(calls) == 143  # connected graphs on 1..6 vertices up to isomorphism
+    with pytest.raises(InvalidArgumentsError):
+        scan_pair_realizability(2, 4, n_max=3, processes=0)
+
+
+def test_pair_scan_class_representatives(monkeypatch):
+    nx = pytest.importorskip("networkx")
+    built = []
+
+    def build(n, mask, pairs=None):
+        g = graph_from_edge_mask(n, mask, pairs)
+        built.append(g)
+        return g
+
+    monkeypatch.setattr(drd.bounds, "graph_from_edge_mask", build)
+    # (1, 1) occurs nowhere, so every class of every graph gets built once
+    assert scan_pair_realizability(1, 1, n_max=6, connected_only=False).found is None
+    assert [sum(g.n == n for g in built) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+
+    def key(h):
+        return h.number_of_nodes(), tuple(sorted(d for _, d in h.degree()))
+
+    reps: dict = {}
+    for g in built:
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
+        reps.setdefault(key(h), []).append(h)
+    for atlas in nx.graph_atlas_g():
+        if not 1 <= atlas.number_of_nodes() <= 6:
+            continue
+        matches = [h for h in reps.get(key(atlas), []) if nx.is_isomorphic(h, atlas)]
+        assert len(matches) == 1

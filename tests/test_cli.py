@@ -11,6 +11,7 @@ import sys
 import jsonschema
 import pytest
 
+import drd.bounds
 import drd.cli
 from drd.cli import build_parser, main, parse_family
 from drd.errors import InvalidSpecError
@@ -160,6 +161,29 @@ def test_check_twins_row_count(capsys):
     code, doc = run_json(capsys, "check", "twins", "--family", "cycle:5", "--all-vertices")
     assert code == 0 and len(doc["results"]) == 10
     assert all(r["holds"] for r in doc["results"])
+
+
+def _count_dr_solves(monkeypatch) -> list:
+    calls = []
+    solve = drd.bounds.solve_double_roman
+    monkeypatch.setattr(drd.bounds, "solve_double_roman", lambda g: calls.append(g) or solve(g))
+    monkeypatch.delenv("DRD_MAX_N", raising=False)
+    return calls
+
+
+def test_check_twins_solves_base_once(capsys, monkeypatch):
+    calls = _count_dr_solves(monkeypatch)
+    code, doc = run_json(capsys, "check", "twins", "--family", "cycle:5", "--all-vertices")
+    assert code == 0 and len(doc["results"]) == 10
+    assert len(calls) == 11  # ten twins plus C5 itself
+
+
+def test_check_twins_over_cap_solves_nothing(capsys, monkeypatch):
+    calls = _count_dr_solves(monkeypatch)
+    code, doc = run_json(capsys, "check", "twins", "--family", "path:30", "--vertex", "3")
+    assert code == 0 and len(doc["results"]) == 2
+    assert all(r.get("skipped") for r in doc["results"])
+    assert calls == []
 
 
 def test_check_fundamental_multiple_sources(capsys):
