@@ -5,7 +5,9 @@ oracle (`brute_force`). The two routes share nothing beyond the graph type,
 so agreement between them is meaningful evidence of correctness. Roman and
 double Roman domination share one labeling engine (`_label_search`), which
 differs between them only in the alphabet, the value order and how much
-neighbor credit a 0-vertex needs.
+neighbor credit a 0-vertex needs. When that search runs long on a graph of
+small frontier width, an exact frontier DP (module `frontier`) finishes the
+job instead; it is a third route, tested against the oracle on its own.
 
 Search-space note: the double Roman solver branches over {0,2,3} only. A
 minimum-weight labeling never needs the value 1 (any 1 can be folded into a
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import DrdError, InvalidArgumentsError, ResourceLimitError
 from .graph import Graph
@@ -50,7 +52,7 @@ class SolveResult:
     value: int
     witness: Witness
     nodes_explored: int
-    method: str  # branch_and_bound | brute_force
+    method: str  # branch_and_bound | frontier_dp | brute_force
 
 
 def _solver_cap(max_n: int | None) -> int:
@@ -105,6 +107,13 @@ def greedy_dominating_set(g: Graph) -> frozenset[int]:
 
 GAIN = (0, 0, 1, 2)
 
+# The main pass measures the frontier width once it has explored this many
+# nodes (every connected graph on <= 6 vertices needs at most 110), and hands
+# over to the frontier DP when the width is at most DP_MAX_WIDTH: tables of
+# at most 5^4 entries per step.
+DP_CHECKPOINT = 1000
+DP_MAX_WIDTH = 4
+
 
 def _label_search(
     adj: tuple[tuple[int, ...], ...],
@@ -114,6 +123,7 @@ def _label_search(
     best_w: int,
     best_vals: list[int] | None,
     stop_on_improve: bool,
+    checkpoint: tuple[int, Callable[[], bool]] | None = None,
 ) -> tuple[int, list[int] | None, int]:
     """DFS over `value_order` assignments in `order`, pruning against best_w.
 
@@ -123,37 +133,66 @@ def _label_search(
     little credit: a 0 there is irreparable, and an unassigned vertex there
     must take a nonzero value, at least need in either searched alphabet
     ({0,1,2} with need 1, {0,2,3} with need 2); that prices the lower bound.
+    `dead` counts those unassigned vertices and is kept up to date by
+    assign/unassign, since keys only fall as vertices are assigned.
 
     With stop_on_improve the search halts at the first assignment strictly
     beating best_w; seeding best_w = opt + 1 and assigning values in
     ascending order therefore returns the lexicographically least optimum.
+
+    checkpoint = (count, test): when the search reaches `count` nodes it calls
+    test() once; if that returns true the search is abandoned and returns
+    None as its values.
     """
     n = len(adj)
     vals = [-1] * n
     key = [need * len(a) for a in adj]
+    dead = key.count(0)  # isolated vertices
     nodes = 0
     done = False
-    rng = range(n)
+    stop_at, test = checkpoint if checkpoint else (-1, None)
 
     def assign(w: int, x: int) -> bool:
+        nonlocal dead
         vals[w] = x
-        ok = not (x == 0 and key[w] < need)
+        ok = True
+        if key[w] < need:
+            dead -= 1
+            ok = x != 0
         d = GAIN[x] - need
+        if not d:
+            return ok  # keys unchanged; every assigned 0 was already satisfied
         for u in adj[w]:
-            key[u] += d
-            if vals[u] == 0 and key[u] < need:
-                ok = False
+            k = key[u] + d
+            key[u] = k
+            if k < need:
+                if vals[u] < 0:
+                    if k - d >= need:
+                        dead += 1
+                elif vals[u] == 0:
+                    ok = False
         return ok
 
     def unassign(w: int, x: int):
+        nonlocal dead
         vals[w] = -1
         d = GAIN[x] - need
-        for u in adj[w]:
-            key[u] -= d
+        if d:
+            for u in adj[w]:
+                k = key[u]
+                key[u] = k - d
+                if vals[u] < 0 and k < need <= k - d:
+                    dead -= 1
+        if key[w] < need:
+            dead += 1
 
     def rec(depth: int, wgt: int):
         nonlocal best_w, best_vals, nodes, done
         nodes += 1
+        if nodes == stop_at and test():
+            best_vals = None
+            done = True
+            return
         if depth == n:
             if wgt < best_w:
                 best_w = wgt
@@ -161,11 +200,7 @@ def _label_search(
                 if stop_on_improve:
                     done = True
             return
-        lb = 0
-        for v in rng:
-            if vals[v] < 0 and key[v] < need:
-                lb += need
-        if wgt + lb >= best_w:
+        if wgt + need * dead >= best_w:
             return
         w = order[depth]
         for x in value_order:
@@ -174,8 +209,7 @@ def _label_search(
             if assign(w, x):
                 rec(depth + 1, wgt + x)
                 if done:
-                    vals[w] = -1  # counters no longer needed
-                    return
+                    return  # the counters are no longer needed
             unassign(w, x)
 
     rec(0, 0)
@@ -301,30 +335,68 @@ def solve_domination(g: Graph, canonical: bool = False, max_n: int | None = None
     return SolveResult(len(best), frozenset(best), nodes, "branch_and_bound")
 
 
+def _solve_labeling(
+    g: Graph,
+    need: int,
+    order: list[int],
+    value_order: tuple[int, ...],
+    inc_w: int,
+    inc_vals: list[int],
+    canonical: bool,
+) -> tuple[int, list[int], int, str]:
+    """Weight, values, work and method of a minimum labeling for `need`.
+
+    The branch-and-bound main pass runs first. If it reaches DP_CHECKPOINT
+    nodes, the frontier order is computed once; when its width is at most
+    DP_MAX_WIDTH the search hands over to `frontier.frontier_dp`, otherwise it
+    carries on. Graphs solved below the checkpoint never pay for the order.
+    With canonical=True the lex-first pass then rediscovers the optimum.
+    """
+    adj = _sorted_adj(g)
+    dp_order: list[int] = []
+
+    def low_width() -> bool:
+        from .frontier import frontier_order  # loaded late: most solves never get here
+
+        width, dp_order[:] = frontier_order(adj)
+        return width <= DP_MAX_WIDTH
+
+    best_w, best_vals, nodes = _label_search(
+        adj, order, value_order, need, inc_w, inc_vals, False, (DP_CHECKPOINT, low_width)
+    )
+    method = "branch_and_bound"
+    if best_vals is None:
+        from .frontier import frontier_dp
+
+        best_w, best_vals, entries = frontier_dp(adj, dp_order, need)
+        nodes += entries
+        method = "frontier_dp"
+    if canonical:
+        best_w, best_vals, extra = _label_search(
+            adj, list(range(g.n)), tuple(sorted(value_order)), need, best_w + 1, None, True
+        )
+        nodes += extra
+    if best_vals is None:
+        raise DrdError("canonical pass failed to rediscover the optimum")
+    return best_w, best_vals, nodes, method
+
+
 def solve_roman(g: Graph, canonical: bool = False, max_n: int | None = None) -> SolveResult:
     """Minimum Roman dominating function weight with a witness labeling."""
     _check_cap(g.n, _solver_cap(max_n), "solve_roman")
-    adj = _sorted_adj(g)
     greedy = greedy_dominating_set(g)
     if 2 * len(greedy) < g.n:
         inc_w = 2 * len(greedy)
         inc_vals = [2 if v in greedy else 0 for v in range(g.n)]
     else:
         inc_w, inc_vals = g.n, [1] * g.n
-    best_w, best_vals, nodes = _label_search(
-        adj, list(range(g.n)), (2, 0, 1), 1, inc_w, inc_vals, False
+    best_w, best_vals, nodes, method = _solve_labeling(
+        g, 1, list(range(g.n)), (2, 0, 1), inc_w, inc_vals, canonical
     )
-    if canonical:
-        best_w, best_vals, extra = _label_search(
-            adj, list(range(g.n)), (0, 1, 2), 1, best_w + 1, None, True
-        )
-        nodes += extra
-    if best_vals is None:
-        raise DrdError("canonical pass failed to rediscover the optimum")
     witness = RomanLabeling(tuple(best_vals))
     if witness.weight != best_w or not is_valid_rdf(g, witness):
         raise DrdError("solver produced an invalid Roman witness")
-    return SolveResult(best_w, witness, nodes, "branch_and_bound")
+    return SolveResult(best_w, witness, nodes, method)
 
 
 def solve_double_roman(g: Graph, canonical: bool = False, max_n: int | None = None) -> SolveResult:
@@ -332,28 +404,22 @@ def solve_double_roman(g: Graph, canonical: bool = False, max_n: int | None = No
 
     Branches in descending-degree order trying values 3, 2, 0; the witness
     therefore never uses the value 1. The initial incumbent puts 3 on every
-    vertex of a greedy dominating set. With canonical=True a second pass
-    returns the lexicographically least optimal labeling over {0,2,3}.
+    vertex of a greedy dominating set. Low-width graphs that outlast the
+    checkpoint are finished by the frontier DP over {0,2,3}. With
+    canonical=True a second pass returns the lexicographically least optimal
+    labeling over {0,2,3}.
     """
     _check_cap(g.n, _solver_cap(max_n), "solve_double_roman")
-    adj = _sorted_adj(g)
     greedy = greedy_dominating_set(g)
     inc_w = 3 * len(greedy)
     inc_vals = [3 if v in greedy else 0 for v in range(g.n)]
-    best_w, best_vals, nodes = _label_search(
-        adj, _degree_order(g), (3, 2, 0), 2, inc_w, inc_vals, False
+    best_w, best_vals, nodes, method = _solve_labeling(
+        g, 2, _degree_order(g), (3, 2, 0), inc_w, inc_vals, canonical
     )
-    if canonical:
-        best_w, best_vals, extra = _label_search(
-            adj, list(range(g.n)), (0, 2, 3), 2, best_w + 1, None, True
-        )
-        nodes += extra
-    if best_vals is None:
-        raise DrdError("canonical pass failed to rediscover the optimum")
     witness = DRLabeling(tuple(best_vals))
     if witness.weight != best_w or not is_valid_drdf(g, witness):
         raise DrdError("solver produced an invalid double Roman witness")
-    return SolveResult(best_w, witness, nodes, "branch_and_bound")
+    return SolveResult(best_w, witness, nodes, method)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Branch-and-bound solvers against the independent brute-force oracle."""
+"""Branch-and-bound and frontier-DP solvers against the independent brute-force oracle."""
 
 from __future__ import annotations
 
 import pytest
 
+import drd.bounds
 from drd.errors import InvalidArgumentsError, ResourceLimitError
+from drd.formulas import gamma_dr_cycle, gamma_dr_grid2
+from drd.frontier import frontier_dp, frontier_order
 from drd.graph import (
+    Graph,
+    cartesian_product,
     complete,
     complete_bipartite,
     cycle,
@@ -16,8 +21,12 @@ from drd.graph import (
     star,
     trivial,
 )
-from drd.labeling import DRLabeling, is_dominating, is_valid_drdf, is_valid_rdf
+from drd.labeling import DRLabeling, RomanLabeling, is_dominating, is_valid_drdf, is_valid_rdf
+from drd.report import witness_text
 from drd.solvers import (
+    DP_CHECKPOINT,
+    DP_MAX_WIDTH,
+    _sorted_adj,
     brute_force,
     enumerate_min_drdfs,
     solve_domination,
@@ -158,3 +167,86 @@ def test_path_cycle_sweep_against_brute():
         assert solve_double_roman(path(n)).value == brute_force(path(n), "double_roman").value
     for n in range(3, 9):
         assert solve_double_roman(cycle(n)).value == brute_force(cycle(n), "double_roman").value
+
+
+# ---------------------------------------------------------------------------
+# Frontier DP: a third exact route, checked on its own against the oracle.
+
+def _dp_check(g, index_order=False):
+    adj = _sorted_adj(g)
+    orders = [frontier_order(adj)[1]] + ([list(range(g.n))] if index_order else [])
+    for need, name, check in ((1, "roman", is_valid_rdf), (2, "double_roman", is_valid_drdf)):
+        expect = brute_force(g, name).value
+        for order in orders:
+            value, vals, entries = frontier_dp(adj, order, need)
+            witness = (RomanLabeling if need == 1 else DRLabeling)(tuple(vals))
+            assert value == expect == witness.weight, (name, g.edges(), order)
+            assert check(g, witness).valid and entries > 0
+
+
+def test_frontier_dp_matches_oracle_on_all_small_labeled_graphs(graphs_upto_5):
+    # the DP is exact along any order; the plain index order is tried as well
+    for g in graphs_upto_5:
+        _dp_check(g, index_order=True)
+
+
+def test_frontier_dp_matches_oracle_on_atlas():
+    nx = pytest.importorskip("networkx")
+    for atlas in nx.graph_atlas_g():
+        if 1 <= atlas.number_of_nodes() <= 7:
+            _dp_check(Graph.from_edges(atlas.number_of_nodes(), atlas.edges()))
+
+
+def test_frontier_order_width():
+    assert frontier_order(_sorted_adj(path(30)))[0] == 1
+    assert frontier_order(_sorted_adj(cycle(30)))[0] == 2
+    assert frontier_order(_sorted_adj(grid2(15)))[0] == 2
+    assert frontier_order(_sorted_adj(trivial(5))) == (0, [0, 1, 2, 3, 4])
+    assert frontier_order(_sorted_adj(complete(6)))[0] == 5
+
+
+def test_closed_forms_up_to_the_size_cap():
+    for n in range(1, 31):
+        assert solve_double_roman(path(n)).value == n + (n % 3 != 0), n
+        assert solve_roman(path(n)).value == -(-2 * n // 3), n
+    for n in range(3, 31):
+        assert solve_double_roman(cycle(n)).value == gamma_dr_cycle(n).value, n
+    for n in [1] + list(range(3, 16)):
+        assert solve_double_roman(grid2(n)).value == gamma_dr_grid2(n).value, n
+
+
+def test_route_choice(monkeypatch):
+    # the paper's families outlast the checkpoint and have width <= 4
+    canonical = {
+        ("P19", "roman"): "0,2,0,0,2,0,0,2,0,0,2,0,0,2,0,0,2,0,1",
+        ("P19", "double_roman"): "0,3,0,0,3,0,0,3,0,0,3,0,0,3,0,0,3,0,2",
+        ("C20", "roman"): "0,0,2,0,0,2,0,0,2,0,0,2,0,0,2,0,0,2,0,2",
+        ("C20", "double_roman"): "0,2,0,2,0,2,0,2,0,2,0,2,0,2,0,2,0,2,0,2",
+        ("G2,9", "roman"): "0,0,2,0,0,0,2,0,0,2,0,0,0,2,0,0,0,2",
+        ("G2,9", "double_roman"): "0,0,3,0,0,0,3,0,0,3,0,0,0,3,0,0,0,3",
+    }
+    for g in (path(19), cycle(20), grid2(9)):
+        for name in ("roman", "double_roman"):
+            solver = SOLVERS[name]
+            assert solver(g).method == "frontier_dp"
+            r = solver(g, canonical=True)
+            assert r.method == "frontier_dp"
+            assert witness_text(r.witness) == canonical[g.name, name]
+    # a wider graph (the 4x4 torus) outlasts the checkpoint on branch and bound
+    torus = cartesian_product(cycle(4), cycle(4))
+    assert frontier_order(_sorted_adj(torus))[0] > DP_MAX_WIDTH
+    # its node counts, canonical pass included, pin the search's pruning
+    nodes = {solve_roman: (34421, 34641), solve_double_roman: (16076, 20081)}
+    for solver, counts in nodes.items():
+        r = solver(torus)
+        assert r.method == "branch_and_bound" and DP_CHECKPOINT < r.nodes_explored
+        assert (r.nodes_explored, solver(torus, canonical=True).nodes_explored) == counts
+    # the pair scan's class representatives all finish below the checkpoint
+    reps = []
+    monkeypatch.setattr(drd.bounds, "solve_roman", lambda g: reps.append(g) or solve_roman(g))
+    assert drd.bounds.scan_pair_realizability(2, 4, n_max=6).found is None
+    assert len(reps) == 143
+    for g in reps:
+        for solver in (solve_roman, solve_double_roman):
+            r = solver(g)
+            assert r.method == "branch_and_bound" and r.nodes_explored < DP_CHECKPOINT
