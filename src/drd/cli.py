@@ -9,6 +9,7 @@ realization graphs). Exit codes: 0 clean, 1 a mathematical claim failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -392,6 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one parser per process: parse_args leaves the parser
+# unchanged, and "append" options start from a fresh list on every call.
+_shared_parser = functools.cache(build_parser)
+
+
 def _command_name(args) -> str:
     if getattr(args, "suite", None):
         return f"check {args.suite}"
@@ -401,7 +407,7 @@ def _command_name(args) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:

@@ -2,8 +2,8 @@
 vertex order of small frontier width.
 
 The branch-and-bound main pass in `solvers` hands a graph over to this
-module when its search runs long and `frontier_order` finds a width of at
-most `solvers.DP_MAX_WIDTH`. The module is imported only then, so a process
+module when its search runs long and `frontier_order` finds a width that
+`solvers.dp_fits` allows. The module is imported only then, so a process
 that solves nothing large does not pay to load it.
 """
 

@@ -5,7 +5,7 @@ oracle (`brute_force`). The two routes share nothing beyond the graph type,
 so agreement between them is meaningful evidence of correctness. Roman and
 double Roman domination share one labeling engine (`_label_search`), which
 differs between them only in the alphabet, the value order and how much
-neighbor credit a 0-vertex needs. When that search runs long on a graph of
+neighbor credit a 0-vertex needs; it also lists every minimum DRDF. When that search runs long on a graph of
 small frontier width, an exact frontier DP (module `frontier`) finishes the
 job instead; it is a third route, tested against the oracle on its own.
 
@@ -109,10 +109,16 @@ GAIN = (0, 0, 1, 2)
 
 # The main pass measures the frontier width once it has explored this many
 # nodes (every connected graph on <= 6 vertices needs at most 110), and hands
-# over to the frontier DP when the width is at most DP_MAX_WIDTH: tables of
-# at most 5^4 entries per step.
+# over to the frontier DP when a step's table holds at most DP_MAX_STATES
+# entries. A frontier vertex has 2 * need + 1 states, so the DP takes widths
+# <= 5 for Roman (3^5 = 243) and <= 4 for double Roman (5^4 = 625).
 DP_CHECKPOINT = 1000
-DP_MAX_WIDTH = 4
+DP_MAX_STATES = 5**4
+
+
+def dp_fits(width: int, need: int) -> bool:
+    """Whether the frontier DP for `need` takes a vertex order of this width."""
+    return (2 * need + 1) ** width <= DP_MAX_STATES
 
 
 def _label_search(
@@ -124,6 +130,7 @@ def _label_search(
     best_vals: list[int] | None,
     stop_on_improve: bool,
     checkpoint: tuple[int, Callable[[], bool]] | None = None,
+    collect: list[list[int]] | None = None,
 ) -> tuple[int, list[int] | None, int]:
     """DFS over `value_order` assignments in `order`, pruning against best_w.
 
@@ -143,6 +150,9 @@ def _label_search(
     checkpoint = (count, test): when the search reaches `count` nodes it calls
     test() once; if that returns true the search is abandoned and returns
     None as its values.
+
+    With a `collect` list the search appends every complete labeling
+    lighter than best_w, in the order it meets them, and never lowers best_w.
     """
     n = len(adj)
     vals = [-1] * n
@@ -195,6 +205,9 @@ def _label_search(
             return
         if depth == n:
             if wgt < best_w:
+                if collect is not None:
+                    collect.append(vals.copy())
+                    return
                 best_w = wgt
                 best_vals = vals.copy()
                 if stop_on_improve:
@@ -347,9 +360,9 @@ def _solve_labeling(
     """Weight, values, work and method of a minimum labeling for `need`.
 
     The branch-and-bound main pass runs first. If it reaches DP_CHECKPOINT
-    nodes, the frontier order is computed once; when its width is at most
-    DP_MAX_WIDTH the search hands over to `frontier.frontier_dp`, otherwise it
-    carries on. Graphs solved below the checkpoint never pay for the order.
+    nodes, the frontier order is computed once; when `dp_fits` takes its width
+    the search hands over to `frontier.frontier_dp`, otherwise it carries on.
+    Graphs solved below the checkpoint never pay for the order.
     With canonical=True the lex-first pass then rediscovers the optimum.
     """
     adj = _sorted_adj(g)
@@ -359,7 +372,7 @@ def _solve_labeling(
         from .frontier import frontier_order  # loaded late: most solves never get here
 
         width, dp_order[:] = frontier_order(adj)
-        return width <= DP_MAX_WIDTH
+        return dp_fits(width, need)
 
     best_w, best_vals, nodes = _label_search(
         adj, order, value_order, need, inc_w, inc_vals, False, (DP_CHECKPOINT, low_width)
@@ -509,21 +522,27 @@ def enumerate_min_drdfs(
     """Yield every minimum-weight DRDF in lexicographic order.
 
     The default space is {0,2,3}^V, which by the one-elimination argument
-    reaches the same minimum weight as the full space; full_space=True
-    enumerates {0,1,2,3}^V instead (smaller size cap).
+    reaches the same minimum weight as the full space. Its minima come from
+    the labeling engine run in index order with ascending values and pruned
+    against the optimum, so they arrive in lexicographic order; each is
+    checked again before it is returned. full_space=True sweeps all of
+    {0,1,2,3}^V instead (smaller size cap).
     """
     cap = max_n if max_n is not None else (MINIMA_MAX_N_FULL if full_space else MINIMA_MAX_N)
     _check_cap(g.n, cap, "enumerate_min_drdfs")
-    space = "full" if full_space else "reduced"
-    opt = brute_force(g, "double_roman", space=space, max_n=g.n).value
-    values = (0, 1, 2, 3) if full_space else (0, 2, 3)
-
-    def gen() -> Iterator[DRLabeling]:
-        for t in itertools.product(values, repeat=g.n):
-            if sum(t) != opt:
-                continue
-            f = DRLabeling(t)
-            if is_valid_drdf(g, f):
-                yield f
-
-    return gen()
+    if full_space:
+        opt = brute_force(g, "double_roman", space="full", max_n=g.n).value
+        candidates = (
+            DRLabeling(t) for t in itertools.product((0, 1, 2, 3), repeat=g.n) if sum(t) == opt
+        )
+        return (f for f in candidates if is_valid_drdf(g, f))
+    opt = solve_double_roman(g, max_n=g.n).value
+    found: list[list[int]] = []
+    _label_search(
+        _sorted_adj(g), list(range(g.n)), (0, 2, 3), 2, opt + 1, None, False, collect=found
+    )
+    minima = [DRLabeling(tuple(vals)) for vals in found]
+    for f in minima:
+        if f.weight != opt or not is_valid_drdf(g, f):
+            raise DrdError("minimum enumeration produced an invalid labeling")
+    return iter(minima)

@@ -192,6 +192,22 @@ def test_check_fundamental_multiple_sources(capsys):
     assert code == 0 and len(doc["results"]) == 8
 
 
+def test_main_reuses_its_parser_without_carry_over(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "fundamental", "--family", "path:5", "--nosuch"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = ["check", "fundamental", "--family", "path:5", "--family", "cycle:6",
+            "--all-minima", "--canonical", "--format", "json"]
+    code, first = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(first)["inputs"]["mode"] == "all_minima"
+    code, doc = run_json(capsys, "check", "fundamental", "--family", "path:4")
+    assert code == 0
+    assert doc["inputs"] == {"graphs": ["path:4"], "mode": "witness_only"}
+    assert run_cli(capsys, *argv) == (0, first)
+    assert build_parser() is not build_parser()
+
+
 def test_check_cartesian_single_source_squares(capsys):
     code, doc = run_json(capsys, "check", "cartesian", "--family", "path:3")
     assert code == 0 and len(doc["results"]) == 5

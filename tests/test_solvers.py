@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 import drd.bounds
@@ -25,9 +28,9 @@ from drd.labeling import DRLabeling, RomanLabeling, is_dominating, is_valid_drdf
 from drd.report import witness_text
 from drd.solvers import (
     DP_CHECKPOINT,
-    DP_MAX_WIDTH,
     _sorted_adj,
     brute_force,
+    dp_fits,
     enumerate_min_drdfs,
     solve_domination,
     solve_double_roman,
@@ -162,6 +165,31 @@ def test_enumerate_min_drdfs_counts(rng):
         next(enumerate_min_drdfs(path(11)))
 
 
+def _min_drdfs_by_sweep(g):
+    """Reference for enumerate_min_drdfs: every labeling in {0,2,3}^n of the
+    brute-force optimum's weight that is valid, in itertools order."""
+    opt = brute_force(g, "double_roman").value
+    lightest = (t for t in itertools.product((0, 2, 3), repeat=g.n) if sum(t) == opt)
+    return [f for f in map(DRLabeling, lightest) if is_valid_drdf(g, f).valid]
+
+
+def test_enumerate_min_drdfs_matches_sweep(graphs_upto_5):
+    nx = pytest.importorskip("networkx")
+    corpus = list(graphs_upto_5)  # isolated vertices included
+    corpus += [
+        Graph.from_edges(a.number_of_nodes(), a.edges())
+        for a in nx.graph_atlas_g() if 1 <= a.number_of_nodes() <= 7
+    ]
+    rng = random.Random(8)
+    for _ in range(30):
+        n, p = rng.randint(8, 10), rng.uniform(0.15, 0.6)
+        corpus.append(Graph.from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        ))
+    for g in corpus:
+        assert list(enumerate_min_drdfs(g)) == _min_drdfs_by_sweep(g), g.edges()
+
+
 def test_path_cycle_sweep_against_brute():
     for n in range(1, 9):
         assert solve_double_roman(path(n)).value == brute_force(path(n), "double_roman").value
@@ -232,9 +260,17 @@ def test_route_choice(monkeypatch):
             r = solver(g, canonical=True)
             assert r.method == "frontier_dp"
             assert witness_text(r.witness) == canonical[g.name, name]
+    # gamma_R tables hold 3^w states, so width 5 (P5 x P5) still goes to the
+    # DP for gamma_R; gamma_dR's 5^5 would not (its B&B solve, about 12 s, is not run)
+    square = cartesian_product(path(5), path(5))
+    assert frontier_order(_sorted_adj(square))[0] == 5
+    assert dp_fits(5, 1) and not dp_fits(5, 2) and dp_fits(4, 2)
+    r = solve_roman(square)
+    assert r.method == "frontier_dp" and r.value == 14
     # a wider graph (the 4x4 torus) outlasts the checkpoint on branch and bound
     torus = cartesian_product(cycle(4), cycle(4))
-    assert frontier_order(_sorted_adj(torus))[0] > DP_MAX_WIDTH
+    width = frontier_order(_sorted_adj(torus))[0]
+    assert width == 7 and not dp_fits(width, 1) and not dp_fits(width, 2)
     # its node counts, canonical pass included, pin the search's pruning
     nodes = {solve_roman: (34421, 34641), solve_double_roman: (16076, 20081)}
     for solver, counts in nodes.items():
