@@ -27,6 +27,7 @@ from .graph import (
 )
 from .labeling import DRLabeling, partition
 from .solvers import (
+    SolveResult,
     check_solver_cap,
     enumerate_min_drdfs,
     solve_domination,
@@ -86,15 +87,18 @@ def _ctx(g: Graph) -> str:
     return g.name if g.name else f"graph on {g.n} vertices"
 
 
-def check_fundamental(g: Graph) -> list[BoundReport]:
+def check_fundamental(
+    g: Graph, gdr: int | None = None, gam: int | None = None
+) -> list[BoundReport]:
     """The two sandwiches tying gamma_dR to gamma and gamma_R.
 
     2*gamma <= gamma_dR <= 3*gamma holds for every graph; the strict
     Roman sandwich gamma_R < gamma_dR < 2*gamma_R only for nontrivial
-    connected graphs, so it is reported as skipped elsewhere.
+    connected graphs, so it is reported as skipped elsewhere. gdr and gam,
+    when given, are gamma_dR(g) and gamma(g) from an earlier solve.
     """
-    gdr = solve_double_roman(g).value
-    gam = solve_domination(g).value
+    gdr = solve_double_roman(g).value if gdr is None else gdr
+    gam = solve_domination(g).value if gam is None else gam
     out = [_report("double_vs_domination", gdr, (2 * gam, 3 * gam), "between", _ctx(g))]
     if g.n >= 2 and is_connected(g):
         gr = solve_roman(g).value
@@ -116,23 +120,27 @@ def check_fundamental(g: Graph) -> list[BoundReport]:
     return out
 
 
-def check_min_drdf_partition(g: Graph, mode: str = "witness_only") -> list[BoundReport]:
+def check_min_drdf_partition(
+    g: Graph, mode: str = "witness_only", res: SolveResult | None = None, gam: int | None = None
+) -> list[BoundReport]:
     """Size bounds on the 3- and 2-classes of minimum labelings:
     |V3| <= gamma_dR - 2*gamma and |V2| >= 3*gamma - gamma_dR.
 
     witness_only checks the solver's witness; all_minima checks every
     minimum labeling (small graphs only) and reports the worst case.
+    res and gam, when given, are solve_double_roman(g) and gamma(g) from an
+    earlier solve, so the checks of one graph solve it once.
     """
     if mode not in ("witness_only", "all_minima"):
         raise InvalidArgumentsError(f"unknown mode {mode!r}")
-    res = solve_double_roman(g)
-    gam = solve_domination(g).value
+    res = solve_double_roman(g) if res is None else res
+    gam = solve_domination(g).value if gam is None else gam
     gdr = res.value
     if mode == "witness_only":
         assert isinstance(res.witness, DRLabeling)
         labelings = [res.witness]
     else:
-        labelings = list(enumerate_min_drdfs(g))
+        labelings = list(enumerate_min_drdfs(g, opt=gdr))
     v3_max = max(len(partition(f)[3]) for f in labelings)
     v2_min = min(len(partition(f)[2]) for f in labelings)
     context = f"{_ctx(g)}, {len(labelings)} minimum labeling(s)"

@@ -174,9 +174,13 @@ def cmd_check_fundamental(args, parser):
     descs = []
     for g, desc in resolve_graphs(args, parser):
         descs.append(desc)
-        rows.extend(R.row_from_bound(br) for br in B.check_fundamental(g))
+        gdr = solve_double_roman(g)
+        gam = solve_domination(g).value
+        rows.extend(R.row_from_bound(br) for br in B.check_fundamental(g, gdr.value, gam))
         try:
-            rows.extend(R.row_from_bound(br) for br in B.check_min_drdf_partition(g, mode))
+            rows.extend(
+                R.row_from_bound(br) for br in B.check_min_drdf_partition(g, mode, gdr, gam)
+            )
         except ResourceLimitError as e:
             rows.append(R.skipped_row("min_drdf_partition", desc, str(e)))
     return {"graphs": descs, "mode": mode}, rows, None

@@ -1,5 +1,5 @@
-"""Exact Roman and double Roman domination by dynamic programming along a
-vertex order of small frontier width.
+"""Exact domination, Roman and double Roman domination by dynamic
+programming along a vertex order of small frontier width.
 
 The branch-and-bound main pass in `solvers` hands a graph over to this
 module when its search runs long and `frontier_order` finds a width that
@@ -47,7 +47,7 @@ def frontier_order(adj: tuple[tuple[int, ...], ...]) -> tuple[int, list[int]]:
 
 
 def frontier_dp(
-    adj: tuple[tuple[int, ...], ...], order: list[int], need: int
+    adj: tuple[tuple[int, ...], ...], order: list[int], values: tuple[int, ...], need: int
 ) -> tuple[int, list[int], int]:
     """Exact minimum labeling weight by dynamic programming along `order`
     (vertex partitioning over a path of separators, after Telle and
@@ -55,14 +55,14 @@ def frontier_dp(
 
     Vertices are placed in `order` and forgotten once their last neighbor
     is placed. The table maps the states of the frontier vertices to the
-    least weight of a labeling of the placed vertices that reaches them.
-    A state s < need is a 0 holding credit s; `need` is a satisfied vertex
-    that gives nothing (a covered 0, or a 1); need + g is a vertex giving
-    credit g (a 2 or, with need = 2, a 3). So double Roman
-    (need 2, values {0,2,3}) has 5 states per vertex and Roman (need 1,
-    values {0,1,2}) has 3. A vertex is forgotten only when satisfied.
+    least weight of a labeling of the placed vertices, each taking one of
+    `values`, that reaches them. A state s < need is a 0 holding credit s;
+    `need` is a satisfied vertex that gives nothing (a covered 0, or a 1);
+    need + g is a vertex giving credit g (a 2 or, with need = 2, a 3). So
+    double Roman (need 2, values {0,2,3}) has 5 states per vertex, and Roman
+    (need 1, values {0,1,2}) and domination (need 1, values {0,2}) have 3.
+    A vertex is forgotten only when satisfied.
     """
-    values = (0, 1, 2) if need == 1 else (0, 2, 3)
     pos = {v: i for i, v in enumerate(order)}
     last = [max([pos[v]] + [pos[u] for u in adj[v]]) for v in range(len(adj))]
     gives = [max(s - need, 0) for s in range(need + 3)]

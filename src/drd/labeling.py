@@ -10,7 +10,7 @@ such that every 0-vertex has two neighbors valued 2 or one valued 3
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar, Iterable
 
 from .errors import InvalidArgumentsError
 from .graph import Graph
@@ -136,29 +136,6 @@ def partition(f: DRLabeling) -> tuple[VertexSet, VertexSet, VertexSet, VertexSet
     for v, x in enumerate(f.values):
         parts[x].append(v)
     return tuple(frozenset(p) for p in parts)  # type: ignore[return-value]
-
-
-def restrict(
-    f: DRLabeling, c: Iterable[int], reindex: Mapping[int, int] | None = None
-) -> DRLabeling:
-    """The restriction of f to c, reindexed onto 0..|c|-1.
-
-    Without an explicit map, vertices of c keep their relative order.
-    """
-    members = set(c)
-    for v in members:
-        if not 0 <= v < f.n:
-            raise InvalidArgumentsError(f"vertex {v} out of range")
-    if reindex is None:
-        reindex = {v: i for i, v in enumerate(sorted(members))}
-    if set(reindex) != members:
-        raise InvalidArgumentsError("reindex keys must equal the restriction set")
-    if sorted(reindex.values()) != list(range(len(members))):
-        raise InvalidArgumentsError("reindex values must be exactly 0..|c|-1")
-    out = [0] * len(members)
-    for old, new in reindex.items():
-        out[new] = f.values[old]
-    return DRLabeling(tuple(out))
 
 
 def eliminate_ones(g: Graph, f: DRLabeling) -> DRLabeling:

@@ -1,13 +1,15 @@
 """Exact solvers for domination, Roman domination and double Roman domination.
 
-Each invariant gets a branch-and-bound solver plus an independent exhaustive
-oracle (`brute_force`). The two routes share nothing beyond the graph type,
-so agreement between them is meaningful evidence of correctness. Roman and
-double Roman domination share one labeling engine (`_label_search`), which
-differs between them only in the alphabet, the value order and how much
-neighbor credit a 0-vertex needs; it also lists every minimum DRDF. When that search runs long on a graph of
-small frontier width, an exact frontier DP (module `frontier`) finishes the
-job instead; it is a third route, tested against the oracle on its own.
+All three invariants are solved by one branch-and-bound labeling engine
+(`_label_search`), checked against an independent exhaustive oracle
+(`brute_force`). The two routes share nothing beyond the graph type, so
+agreement between them is meaningful evidence of correctness. The engine
+differs between the invariants only in the alphabet, the value order and how
+much neighbor credit a 0-vertex needs: a dominating set is a {0,2} labeling
+of twice its size. The engine also lists every minimum DRDF. When a search
+runs long on a graph of small frontier width, an exact frontier DP (module
+`frontier`) finishes the job instead; it is a third route, tested against
+the oracle on its own.
 
 Search-space note: the double Roman solver branches over {0,2,3} only. A
 minimum-weight labeling never needs the value 1 (any 1 can be folded into a
@@ -40,7 +42,6 @@ MAX_N_ENV = "DRD_MAX_N"
 BRUTE_MAX_N_REDUCED = 12
 BRUTE_MAX_N_FULL = 8
 MINIMA_MAX_N = 10
-MINIMA_MAX_N_FULL = 8
 
 INVARIANTS = ("domination", "roman", "double_roman")
 
@@ -98,12 +99,13 @@ def greedy_dominating_set(g: Graph) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# Branch-and-bound engines
+# Branch-and-bound engine
 #
-# The Roman and double Roman conditions are one rule: a 0-vertex must collect
-# `need` credit from its neighbors, where a 2 gives 1 and a 3 gives 2 (GAIN).
-# Roman is need = 1 over {0,1,2}; double Roman is need = 2 over {0,2,3}, i.e.
-# a 3-neighbor or two 2-neighbors. One labeling engine serves both.
+# The three conditions are one rule: a 0-vertex must collect `need` credit
+# from its neighbors, where a 2 gives 1 and a 3 gives 2 (GAIN). Domination is
+# need = 1 over {0,2} (weight 2 per member), Roman is need = 1 over {0,1,2},
+# and double Roman is need = 2 over {0,2,3}, i.e. a 3-neighbor or two
+# 2-neighbors. One labeling engine serves all three.
 
 GAIN = (0, 0, 1, 2)
 
@@ -111,7 +113,8 @@ GAIN = (0, 0, 1, 2)
 # nodes (every connected graph on <= 6 vertices needs at most 110), and hands
 # over to the frontier DP when a step's table holds at most DP_MAX_STATES
 # entries. A frontier vertex has 2 * need + 1 states, so the DP takes widths
-# <= 5 for Roman (3^5 = 243) and <= 4 for double Roman (5^4 = 625).
+# <= 5 for domination and Roman (3^5 = 243) and <= 4 for double Roman
+# (5^4 = 625).
 DP_CHECKPOINT = 1000
 DP_MAX_STATES = 5**4
 
@@ -138,8 +141,8 @@ def _label_search(
     key[v] = need * (unassigned neighbors of v) + credit(v),
     so key[v] < need exactly when v has no unassigned neighbor left and too
     little credit: a 0 there is irreparable, and an unassigned vertex there
-    must take a nonzero value, at least need in either searched alphabet
-    ({0,1,2} with need 1, {0,2,3} with need 2); that prices the lower bound.
+    must take a nonzero value, at least the least nonzero value of the
+    alphabet; that prices the lower bound.
     `dead` counts those unassigned vertices and is kept up to date by
     assign/unassign, since keys only fall as vertices are assigned.
 
@@ -158,6 +161,7 @@ def _label_search(
     vals = [-1] * n
     key = [need * len(a) for a in adj]
     dead = key.count(0)  # isolated vertices
+    floor = min(x for x in value_order if x)  # the price of a dead vertex
     nodes = 0
     done = False
     stop_at, test = checkpoint if checkpoint else (-1, None)
@@ -213,7 +217,7 @@ def _label_search(
                 if stop_on_improve:
                     done = True
             return
-        if wgt + need * dead >= best_w:
+        if wgt + floor * dead >= best_w:
             return
         w = order[depth]
         for x in value_order:
@@ -229,101 +233,6 @@ def _label_search(
     return best_w, best_vals, nodes
 
 
-def _dom_branch_and_bound(g: Graph, best: frozenset[int]) -> tuple[frozenset[int], int]:
-    """Branch on the lowest-indexed undominated vertex over its closed
-    neighborhood; vertices tried earlier at a node are banned below it."""
-    n = g.n
-    closed = [sorted(g.adj[v] | {v}) for v in range(n)]
-    covered = [0] * n
-    ncov = 0
-    chosen: list[int] = []
-    banned = [False] * n
-    best_set = best
-    nodes = 0
-
-    def rec():
-        nonlocal ncov, best_set, nodes
-        nodes += 1
-        if ncov == n:
-            if len(chosen) < len(best_set):
-                best_set = frozenset(chosen)
-            return
-        if len(chosen) + 1 >= len(best_set):
-            return
-        v = next(i for i in range(n) if not covered[i])
-        newly_banned = []
-        for u in closed[v]:
-            if banned[u]:
-                continue
-            chosen.append(u)
-            for y in closed[u]:
-                if covered[y] == 0:
-                    ncov += 1
-                covered[y] += 1
-            rec()
-            for y in closed[u]:
-                covered[y] -= 1
-                if covered[y] == 0:
-                    ncov -= 1
-            chosen.pop()
-            banned[u] = True
-            newly_banned.append(u)
-        for u in newly_banned:
-            banned[u] = False
-
-    rec()
-    return best_set, nodes
-
-
-def _dom_lex_first(g: Graph, opt: int) -> tuple[frozenset[int], int]:
-    """First dominating set of size opt in characteristic-vector order
-    (exclusion tried before inclusion at every index)."""
-    n = g.n
-    closed = [sorted(g.adj[v] | {v}) for v in range(n)]
-    last_decider = [max(c) for c in closed]
-    covered = [0] * n
-    ncov = 0
-    chosen: list[int] = []
-    found: frozenset[int] | None = None
-    nodes = 0
-
-    def rec(i: int):
-        nonlocal ncov, found, nodes
-        if found is not None:
-            return
-        nodes += 1
-        if i == n:
-            if ncov == n and len(chosen) == opt:
-                found = frozenset(chosen)
-            return
-        for v in range(n):
-            if covered[v] == 0 and last_decider[v] < i:
-                return
-        if len(chosen) == opt and ncov < n:
-            return
-        if len(chosen) + (n - i) < opt:
-            return
-        rec(i + 1)  # leave i out
-        if found is not None or len(chosen) >= opt:
-            return
-        chosen.append(i)
-        for y in closed[i]:
-            if covered[y] == 0:
-                ncov += 1
-            covered[y] += 1
-        rec(i + 1)
-        for y in closed[i]:
-            covered[y] -= 1
-            if covered[y] == 0:
-                ncov -= 1
-        chosen.pop()
-
-    rec(0)
-    if found is None:
-        raise DrdError("lexicographic pass failed to rediscover the optimum")
-    return found, nodes
-
-
 def _sorted_adj(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(s)) for s in g.adj)
 
@@ -332,26 +241,9 @@ def _degree_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
 
 
-def solve_domination(g: Graph, canonical: bool = False, max_n: int | None = None) -> SolveResult:
-    """Minimum dominating set size with a witness set.
-
-    With canonical=True the witness is the one whose characteristic vector
-    is lexicographically least among all minimum dominating sets.
-    """
-    _check_cap(g.n, _solver_cap(max_n), "solve_domination")
-    best, nodes = _dom_branch_and_bound(g, greedy_dominating_set(g))
-    if canonical:
-        best, extra = _dom_lex_first(g, len(best))
-        nodes += extra
-    if not is_dominating(g, best):
-        raise DrdError("solver produced a non-dominating witness")
-    return SolveResult(len(best), frozenset(best), nodes, "branch_and_bound")
-
-
 def _solve_labeling(
     g: Graph,
     need: int,
-    order: list[int],
     value_order: tuple[int, ...],
     inc_w: int,
     inc_vals: list[int],
@@ -359,13 +251,16 @@ def _solve_labeling(
 ) -> tuple[int, list[int], int, str]:
     """Weight, values, work and method of a minimum labeling for `need`.
 
-    The branch-and-bound main pass runs first. If it reaches DP_CHECKPOINT
-    nodes, the frontier order is computed once; when `dp_fits` takes its width
-    the search hands over to `frontier.frontier_dp`, otherwise it carries on.
-    Graphs solved below the checkpoint never pay for the order.
-    With canonical=True the lex-first pass then rediscovers the optimum.
+    The branch-and-bound main pass runs first, in `_degree_order` with values
+    tried in `value_order`. If it reaches DP_CHECKPOINT nodes, the frontier
+    order is computed once; when `dp_fits` takes its width the search hands
+    over to `frontier.frontier_dp`, otherwise it carries on. Graphs solved
+    below the checkpoint never pay for the order. With canonical=True the
+    lex-first pass (index order, ascending values) then rediscovers the
+    optimum.
     """
     adj = _sorted_adj(g)
+    values = tuple(sorted(value_order))
     dp_order: list[int] = []
 
     def low_width() -> bool:
@@ -374,24 +269,45 @@ def _solve_labeling(
         width, dp_order[:] = frontier_order(adj)
         return dp_fits(width, need)
 
+    checkpoint = (DP_CHECKPOINT, low_width)
     best_w, best_vals, nodes = _label_search(
-        adj, order, value_order, need, inc_w, inc_vals, False, (DP_CHECKPOINT, low_width)
+        adj, _degree_order(g), value_order, need, inc_w, inc_vals, False, checkpoint
     )
     method = "branch_and_bound"
     if best_vals is None:
         from .frontier import frontier_dp
 
-        best_w, best_vals, entries = frontier_dp(adj, dp_order, need)
+        best_w, best_vals, entries = frontier_dp(adj, dp_order, values, need)
         nodes += entries
         method = "frontier_dp"
     if canonical:
         best_w, best_vals, extra = _label_search(
-            adj, list(range(g.n)), tuple(sorted(value_order)), need, best_w + 1, None, True
+            adj, list(range(g.n)), values, need, best_w + 1, None, True
         )
         nodes += extra
     if best_vals is None:
         raise DrdError("canonical pass failed to rediscover the optimum")
     return best_w, best_vals, nodes, method
+
+
+def solve_domination(g: Graph, canonical: bool = False, max_n: int | None = None) -> SolveResult:
+    """Minimum dominating set size with a witness set.
+
+    Solved as a minimum {0,2} labeling with need 1, whose members are the
+    2-vertices; the initial incumbent is a greedy dominating set. With
+    canonical=True the witness is the one whose characteristic vector is
+    lexicographically least among all minimum dominating sets.
+    """
+    _check_cap(g.n, _solver_cap(max_n), "solve_domination")
+    greedy = greedy_dominating_set(g)
+    inc_vals = [2 if v in greedy else 0 for v in range(g.n)]
+    best_w, best_vals, nodes, method = _solve_labeling(
+        g, 1, (2, 0), 2 * len(greedy), inc_vals, canonical
+    )
+    best = frozenset(v for v in range(g.n) if best_vals[v])
+    if 2 * len(best) != best_w or not is_dominating(g, best):
+        raise DrdError("solver produced a non-dominating witness")
+    return SolveResult(best_w // 2, best, nodes, method)
 
 
 def solve_roman(g: Graph, canonical: bool = False, max_n: int | None = None) -> SolveResult:
@@ -403,9 +319,7 @@ def solve_roman(g: Graph, canonical: bool = False, max_n: int | None = None) -> 
         inc_vals = [2 if v in greedy else 0 for v in range(g.n)]
     else:
         inc_w, inc_vals = g.n, [1] * g.n
-    best_w, best_vals, nodes, method = _solve_labeling(
-        g, 1, list(range(g.n)), (2, 0, 1), inc_w, inc_vals, canonical
-    )
+    best_w, best_vals, nodes, method = _solve_labeling(g, 1, (2, 0, 1), inc_w, inc_vals, canonical)
     witness = RomanLabeling(tuple(best_vals))
     if witness.weight != best_w or not is_valid_rdf(g, witness):
         raise DrdError("solver produced an invalid Roman witness")
@@ -426,9 +340,7 @@ def solve_double_roman(g: Graph, canonical: bool = False, max_n: int | None = No
     greedy = greedy_dominating_set(g)
     inc_w = 3 * len(greedy)
     inc_vals = [3 if v in greedy else 0 for v in range(g.n)]
-    best_w, best_vals, nodes, method = _solve_labeling(
-        g, 2, _degree_order(g), (3, 2, 0), inc_w, inc_vals, canonical
-    )
+    best_w, best_vals, nodes, method = _solve_labeling(g, 2, (3, 2, 0), inc_w, inc_vals, canonical)
     witness = DRLabeling(tuple(best_vals))
     if witness.weight != best_w or not is_valid_drdf(g, witness):
         raise DrdError("solver produced an invalid double Roman witness")
@@ -517,32 +429,25 @@ def brute_force(
 
 
 def enumerate_min_drdfs(
-    g: Graph, full_space: bool = False, max_n: int | None = None
+    g: Graph, max_n: int | None = None, opt: int | None = None
 ) -> Iterator[DRLabeling]:
-    """Yield every minimum-weight DRDF in lexicographic order.
+    """Yield every minimum-weight DRDF over {0,2,3}^V in lexicographic order.
 
-    The default space is {0,2,3}^V, which by the one-elimination argument
-    reaches the same minimum weight as the full space. Its minima come from
-    the labeling engine run in index order with ascending values and pruned
-    against the optimum, so they arrive in lexicographic order; each is
-    checked again before it is returned. full_space=True sweeps all of
-    {0,1,2,3}^V instead (smaller size cap).
+    By the one-elimination argument that space reaches the minimum weight of
+    the full space. The minima come from the labeling engine run in index
+    order with ascending values and pruned against the optimum, so they
+    arrive in lexicographic order; each is checked again before it is
+    returned. opt, when given, is gamma_dR(g) from an earlier solve, so the
+    graph is not solved again.
     """
-    cap = max_n if max_n is not None else (MINIMA_MAX_N_FULL if full_space else MINIMA_MAX_N)
-    _check_cap(g.n, cap, "enumerate_min_drdfs")
-    if full_space:
-        opt = brute_force(g, "double_roman", space="full", max_n=g.n).value
-        candidates = (
-            DRLabeling(t) for t in itertools.product((0, 1, 2, 3), repeat=g.n) if sum(t) == opt
-        )
-        return (f for f in candidates if is_valid_drdf(g, f))
-    opt = solve_double_roman(g, max_n=g.n).value
+    _check_cap(g.n, max_n if max_n is not None else MINIMA_MAX_N, "enumerate_min_drdfs")
+    if opt is None:
+        opt = solve_double_roman(g, max_n=g.n).value
     found: list[list[int]] = []
     _label_search(
         _sorted_adj(g), list(range(g.n)), (0, 2, 3), 2, opt + 1, None, False, collect=found
     )
     minima = [DRLabeling(tuple(vals)) for vals in found]
-    for f in minima:
-        if f.weight != opt or not is_valid_drdf(g, f):
-            raise DrdError("minimum enumeration produced an invalid labeling")
+    if not minima or any(f.weight != opt or not is_valid_drdf(g, f) for f in minima):
+        raise DrdError(f"minimum enumeration found no valid minima of weight {opt}")
     return iter(minima)

@@ -13,6 +13,7 @@ import pytest
 
 import drd.bounds
 import drd.cli
+import drd.solvers
 from drd.cli import build_parser, main, parse_family
 from drd.errors import InvalidSpecError
 from drd.graph import FamilySpec, parse_graph
@@ -190,6 +191,24 @@ def test_check_fundamental_multiple_sources(capsys):
     code, doc = run_json(capsys, "check", "fundamental",
                          "--family", "path:5", "--family", "cycle:6")
     assert code == 0 and len(doc["results"]) == 8
+
+
+def test_check_fundamental_solves_each_invariant_once(capsys, monkeypatch):
+    counts = {}
+    for name in ("solve_double_roman", "solve_domination", "solve_roman"):
+        solve = getattr(drd.solvers, name)
+
+        def counted(*args, _name=name, _solve=solve, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _solve(*args, **kwargs)
+
+        for module in (drd.solvers, drd.bounds, drd.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    code = main(["check", "fundamental", "--family", "cycle:7", "--all-minima"])
+    capsys.readouterr()
+    assert code == 0
+    assert counts == {"solve_double_roman": 1, "solve_domination": 1, "solve_roman": 1}
 
 
 def test_main_reuses_its_parser_without_carry_over(capsys):

@@ -18,7 +18,6 @@ from drd.labeling import (
     is_valid_rdf,
     parse_labeling,
     partition,
-    restrict,
     serialize_labeling,
 )
 from conftest import random_valid_drdf
@@ -83,7 +82,6 @@ def test_partition_and_restrict():
     assert (v0, v1, v2, v3) == (frozenset({0}), frozenset({1}), frozenset({2, 4}),
                                 frozenset({3}))
     assert v0 | v1 | v2 | v3 == frozenset(range(5))
-    assert restrict(f, {2, 3, 4}) == DRLabeling((2, 3, 2))
 
 
 def test_v2_v3_dominates(rng):

@@ -16,6 +16,7 @@ from drd.graph import (
     cartesian_product,
     complete,
     complete_bipartite,
+    corona,
     cycle,
     disjoint_union,
     enumerate_labeled_graphs,
@@ -150,9 +151,6 @@ def test_enumerate_min_drdfs_p4():
     assert all(1 not in f.values for f in minima)
     assert minima == sorted(minima, key=lambda f: f.values)
     assert DRLabeling((0, 3, 0, 2)) in minima
-    with_ones = list(enumerate_min_drdfs(path(4), full_space=True))
-    assert set(minima) <= set(with_ones)
-    assert any(1 in f.values for f in with_ones)
 
 
 def test_enumerate_min_drdfs_counts(rng):
@@ -203,12 +201,21 @@ def test_path_cycle_sweep_against_brute():
 def _dp_check(g, index_order=False):
     adj = _sorted_adj(g)
     orders = [frontier_order(adj)[1]] + ([list(range(g.n))] if index_order else [])
-    for need, name, check in ((1, "roman", is_valid_rdf), (2, "double_roman", is_valid_drdf)):
-        expect = brute_force(g, name).value
-        for order in orders:
-            value, vals, entries = frontier_dp(adj, order, need)
-            witness = (RomanLabeling if need == 1 else DRLabeling)(tuple(vals))
-            assert value == expect == witness.weight, (name, g.edges(), order)
+    gamma = brute_force(g, "domination").value
+    cases = [
+        (1, (0, 1, 2), brute_force(g, "roman").value, RomanLabeling, is_valid_rdf),
+        (2, (0, 2, 3), brute_force(g, "double_roman").value, DRLabeling, is_valid_drdf),
+    ]
+    for order in orders:
+        # domination is a {0,2} labeling with need 1 and twice the weight
+        value, vals, entries = frontier_dp(adj, order, (0, 2), 1)
+        members = {v for v in range(g.n) if vals[v]}
+        assert value == 2 * len(members) == 2 * gamma, (g.edges(), order)
+        assert set(vals) <= {0, 2} and is_dominating(g, members) and entries > 0
+        for need, values, expect, kind, check in cases:
+            value, vals, entries = frontier_dp(adj, order, values, need)
+            witness = kind(tuple(vals))
+            assert value == expect == witness.weight, (need, g.edges(), order)
             assert check(g, witness).valid and entries > 0
 
 
@@ -223,6 +230,22 @@ def test_frontier_dp_matches_oracle_on_atlas():
     for atlas in nx.graph_atlas_g():
         if 1 <= atlas.number_of_nodes() <= 7:
             _dp_check(Graph.from_edges(atlas.number_of_nodes(), atlas.edges()))
+
+
+def test_canonical_domination_matches_oracle_on_atlas():
+    nx = pytest.importorskip("networkx")
+    for atlas in nx.graph_atlas_g():
+        if 1 <= atlas.number_of_nodes() <= 7:
+            g = Graph.from_edges(atlas.number_of_nodes(), atlas.edges())
+            expect = brute_force(g, "domination").witness
+            assert solve_domination(g, canonical=True).witness == expect, g.edges()
+
+
+def test_dead_vertices_are_priced_at_the_least_nonzero_value():
+    # gamma searches {0,2}: a vertex that must be nonzero costs 2, not need = 1;
+    # the cheaper price finds the same value after 513 nodes
+    r = solve_domination(corona(cycle(6), trivial(1)))
+    assert (r.value, r.nodes_explored) == (6, 126)
 
 
 def test_frontier_order_width():
@@ -246,6 +269,9 @@ def test_closed_forms_up_to_the_size_cap():
 def test_route_choice(monkeypatch):
     # the paper's families outlast the checkpoint and have width <= 4
     canonical = {
+        ("P19", "domination"): "1,4,7,10,13,16,18",
+        ("C20", "domination"): "2,5,8,11,14,17,19",
+        ("G2,9", "domination"): "2,6,9,13,17",
         ("P19", "roman"): "0,2,0,0,2,0,0,2,0,0,2,0,0,2,0,0,2,0,1",
         ("P19", "double_roman"): "0,3,0,0,3,0,0,3,0,0,3,0,0,3,0,0,3,0,2",
         ("C20", "roman"): "0,0,2,0,0,2,0,0,2,0,0,2,0,0,2,0,0,2,0,2",
@@ -254,8 +280,7 @@ def test_route_choice(monkeypatch):
         ("G2,9", "double_roman"): "0,0,3,0,0,0,3,0,0,3,0,0,0,3,0,0,0,3",
     }
     for g in (path(19), cycle(20), grid2(9)):
-        for name in ("roman", "double_roman"):
-            solver = SOLVERS[name]
+        for name, solver in SOLVERS.items():
             assert solver(g).method == "frontier_dp"
             r = solver(g, canonical=True)
             assert r.method == "frontier_dp"
