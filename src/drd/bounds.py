@@ -198,7 +198,7 @@ def check_twin(g: Graph, u: int, kind: str, base: int | None = None) -> BoundRep
     (true twin, adjacent to the vertex too) or 2 (false twin).
 
     base, when given, is gamma_dR(g) from an earlier row, so checks over
-    many vertices solve g once. Both sizes are tested against the solver
+    many vertices solve g once. Both graphs are tested against the solver
     cap before anything is solved.
     """
     if kind == "true_twin":
@@ -209,8 +209,8 @@ def check_twin(g: Graph, u: int, kind: str, base: int | None = None) -> BoundRep
         width = 2
     else:
         raise InvalidArgumentsError(f"unknown twin kind {kind!r}")
-    for size in (g.n, h.n):
-        check_solver_cap(size, "solve_double_roman")
+    for graph in (g, h):
+        check_solver_cap(graph, 2, "solve_double_roman")
     if base is None:
         base = solve_double_roman(g).value
     grown = solve_double_roman(h).value

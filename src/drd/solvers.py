@@ -73,10 +73,13 @@ def _check_cap(n: int, cap: int, what: str):
         raise ResourceLimitError(f"{what} supports n <= {cap}, got n = {n}")
 
 
-def check_solver_cap(n: int, what: str) -> None:
-    """Raise the ResourceLimitError that solver ``what`` would raise on a
-    graph of n vertices under the default cap, without solving anything."""
-    _check_cap(n, _solver_cap(None), what)
+def check_solver_cap(g: Graph, need: int, what: str) -> None:
+    """Raise the ResourceLimitError that solver ``what`` (the one for `need`)
+    would raise on g under the default cap, without solving anything: over
+    the cap only graphs whose frontier width `dp_fits` are solved."""
+    cap = _solver_cap(None)
+    if g.n > cap and _dp_order(_sorted_adj(g), need) is None:
+        _check_cap(g.n, cap, what)
 
 
 def greedy_dominating_set(g: Graph) -> frozenset[int]:
@@ -122,6 +125,14 @@ DP_MAX_STATES = 5**4
 def dp_fits(width: int, need: int) -> bool:
     """Whether the frontier DP for `need` takes a vertex order of this width."""
     return (2 * need + 1) ** width <= DP_MAX_STATES
+
+
+def _dp_order(adj: tuple[tuple[int, ...], ...], need: int) -> list[int] | None:
+    """The frontier order to solve along when `dp_fits` takes its width, else None."""
+    from .frontier import frontier_order  # loaded late: most solves never get here
+
+    width, order = frontier_order(adj)
+    return order if dp_fits(width, need) else None
 
 
 def _label_search(
@@ -242,67 +253,75 @@ def _degree_order(g: Graph) -> list[int]:
 
 
 def _solve_labeling(
-    g: Graph,
-    need: int,
-    value_order: tuple[int, ...],
-    inc_w: int,
-    inc_vals: list[int],
-    canonical: bool,
+    g: Graph, need: int, value_order: tuple[int, ...], canonical: bool, cap: int, what: str
 ) -> tuple[int, list[int], int, str]:
     """Weight, values, work and method of a minimum labeling for `need`.
 
     The branch-and-bound main pass runs first, in `_degree_order` with values
-    tried in `value_order`. If it reaches DP_CHECKPOINT nodes, the frontier
-    order is computed once; when `dp_fits` takes its width the search hands
-    over to `frontier.frontier_dp`, otherwise it carries on. Graphs solved
-    below the checkpoint never pay for the order. With canonical=True the
-    lex-first pass (index order, ascending values) then rediscovers the
-    optimum.
+    tried in `value_order`, from an incumbent that puts the top value on a
+    greedy dominating set (for Roman, all 1s when those weigh no more). If it
+    reaches DP_CHECKPOINT nodes, the frontier order is computed once; when
+    `dp_fits` takes its width the search hands over to `frontier.frontier_dp`,
+    otherwise it carries on. Graphs solved below the checkpoint never pay for
+    the order. The DP returns the lexicographically least optimum, so after
+    it no canonical pass is needed; otherwise, with canonical=True, the
+    lex-first pass (index order, ascending values) rediscovers the optimum,
+    with the same hand-over. Above `cap` vertices the branch and bound is not
+    entered: the graph goes to the DP if its width fits and is refused with
+    ResourceLimitError if not.
     """
     adj = _sorted_adj(g)
     values = tuple(sorted(value_order))
-    dp_order: list[int] = []
+    measured = False
+    dp_order: list[int] | None = None  # set when a pass hands over
 
     def low_width() -> bool:
-        from .frontier import frontier_order  # loaded late: most solves never get here
+        nonlocal measured, dp_order
+        if measured:
+            return False  # a second pass: the first found the width too large
+        measured = True
+        dp_order = _dp_order(adj, need)
+        return dp_order is not None
 
-        width, dp_order[:] = frontier_order(adj)
-        return dp_fits(width, need)
-
-    checkpoint = (DP_CHECKPOINT, low_width)
-    best_w, best_vals, nodes = _label_search(
-        adj, _degree_order(g), value_order, need, inc_w, inc_vals, False, checkpoint
-    )
-    method = "branch_and_bound"
-    if best_vals is None:
+    nodes = 0
+    if g.n > cap:
+        if not low_width():
+            _check_cap(g.n, cap, what)  # too wide for the DP: refused
+    else:
+        greedy = greedy_dominating_set(g)
+        top = values[-1]
+        inc_w, inc_vals = top * len(greedy), [top if v in greedy else 0 for v in range(g.n)]
+        if 1 in values and inc_w >= g.n:
+            inc_w, inc_vals = g.n, [1] * g.n
+        checkpoint = (DP_CHECKPOINT, low_width)
+        best_w, best_vals, nodes = _label_search(
+            adj, _degree_order(g), value_order, need, inc_w, inc_vals, False, checkpoint
+        )
+        if canonical and dp_order is None:
+            best_w, best_vals, extra = _label_search(
+                adj, list(range(g.n)), values, need, best_w + 1, None, True, checkpoint
+            )
+            nodes += extra
+    if dp_order is not None:
         from .frontier import frontier_dp
 
         best_w, best_vals, entries = frontier_dp(adj, dp_order, values, need)
-        nodes += entries
-        method = "frontier_dp"
-    if canonical:
-        best_w, best_vals, extra = _label_search(
-            adj, list(range(g.n)), values, need, best_w + 1, None, True
-        )
-        nodes += extra
+        return best_w, best_vals, nodes + entries, "frontier_dp"
     if best_vals is None:
         raise DrdError("canonical pass failed to rediscover the optimum")
-    return best_w, best_vals, nodes, method
+    return best_w, best_vals, nodes, "branch_and_bound"
 
 
 def solve_domination(g: Graph, canonical: bool = False, max_n: int | None = None) -> SolveResult:
     """Minimum dominating set size with a witness set.
 
     Solved as a minimum {0,2} labeling with need 1, whose members are the
-    2-vertices; the initial incumbent is a greedy dominating set. With
-    canonical=True the witness is the one whose characteristic vector is
-    lexicographically least among all minimum dominating sets.
+    2-vertices. With canonical=True the witness is the one whose
+    characteristic vector is lexicographically least among all minimum
+    dominating sets.
     """
-    _check_cap(g.n, _solver_cap(max_n), "solve_domination")
-    greedy = greedy_dominating_set(g)
-    inc_vals = [2 if v in greedy else 0 for v in range(g.n)]
     best_w, best_vals, nodes, method = _solve_labeling(
-        g, 1, (2, 0), 2 * len(greedy), inc_vals, canonical
+        g, 1, (2, 0), canonical, _solver_cap(max_n), "solve_domination"
     )
     best = frozenset(v for v in range(g.n) if best_vals[v])
     if 2 * len(best) != best_w or not is_dominating(g, best):
@@ -312,14 +331,9 @@ def solve_domination(g: Graph, canonical: bool = False, max_n: int | None = None
 
 def solve_roman(g: Graph, canonical: bool = False, max_n: int | None = None) -> SolveResult:
     """Minimum Roman dominating function weight with a witness labeling."""
-    _check_cap(g.n, _solver_cap(max_n), "solve_roman")
-    greedy = greedy_dominating_set(g)
-    if 2 * len(greedy) < g.n:
-        inc_w = 2 * len(greedy)
-        inc_vals = [2 if v in greedy else 0 for v in range(g.n)]
-    else:
-        inc_w, inc_vals = g.n, [1] * g.n
-    best_w, best_vals, nodes, method = _solve_labeling(g, 1, (2, 0, 1), inc_w, inc_vals, canonical)
+    best_w, best_vals, nodes, method = _solve_labeling(
+        g, 1, (2, 0, 1), canonical, _solver_cap(max_n), "solve_roman"
+    )
     witness = RomanLabeling(tuple(best_vals))
     if witness.weight != best_w or not is_valid_rdf(g, witness):
         raise DrdError("solver produced an invalid Roman witness")
@@ -330,17 +344,14 @@ def solve_double_roman(g: Graph, canonical: bool = False, max_n: int | None = No
     """Minimum double Roman dominating function weight with a witness.
 
     Branches in descending-degree order trying values 3, 2, 0; the witness
-    therefore never uses the value 1. The initial incumbent puts 3 on every
-    vertex of a greedy dominating set. Low-width graphs that outlast the
-    checkpoint are finished by the frontier DP over {0,2,3}. With
-    canonical=True a second pass returns the lexicographically least optimal
-    labeling over {0,2,3}.
+    therefore never uses the value 1. Low-width graphs that outlast the
+    checkpoint, or exceed the size cap, are solved by the frontier DP over
+    {0,2,3}. With canonical=True the witness is the lexicographically least
+    optimal labeling over {0,2,3}.
     """
-    _check_cap(g.n, _solver_cap(max_n), "solve_double_roman")
-    greedy = greedy_dominating_set(g)
-    inc_w = 3 * len(greedy)
-    inc_vals = [3 if v in greedy else 0 for v in range(g.n)]
-    best_w, best_vals, nodes, method = _solve_labeling(g, 2, (3, 2, 0), inc_w, inc_vals, canonical)
+    best_w, best_vals, nodes, method = _solve_labeling(
+        g, 2, (3, 2, 0), canonical, _solver_cap(max_n), "solve_double_roman"
+    )
     witness = DRLabeling(tuple(best_vals))
     if witness.weight != best_w or not is_valid_drdf(g, witness):
         raise DrdError("solver produced an invalid double Roman witness")

@@ -16,7 +16,8 @@ import drd.cli
 import drd.solvers
 from drd.cli import build_parser, main, parse_family
 from drd.errors import InvalidSpecError
-from drd.graph import FamilySpec, parse_graph
+from drd.graph import FamilySpec, parse_graph, path
+from drd.labeling import is_valid_drdf, parse_labeling
 from drd.report import load_schema
 
 
@@ -83,8 +84,21 @@ def test_compute_from_graph6(capsys):
 
 
 def test_compute_cap_exit_code(capsys):
-    assert main(["compute", "--family", "path:40"]) == 2
+    # over the cap only graphs of small frontier width are solved; K40 is wide
+    assert main(["compute", "--family", "kn:40"]) == 2
     assert "n <= 30" in capsys.readouterr().err
+
+
+def test_compute_over_cap_goes_to_the_frontier_dp(capsys):
+    code, doc = run_json(
+        capsys, "compute", "--family", "path:200", "--invariant", "gdr", "--canonical"
+    )
+    row = doc["results"][0]
+    assert code == 0 and row["value"] == 201
+    witness = parse_labeling(row["witness"], "drdf")
+    assert witness.weight == 201 and is_valid_drdf(path(200), witness).valid
+    # width 0: the branch and bound, which recurses once per vertex, is never entered
+    assert main(["compute", "--family", "trivial:1500"]) == 0
 
 
 def test_bad_graph6_exit_code(capsys):
@@ -141,6 +155,13 @@ def test_verify_size_mismatch_exit_code(capsys):
 
 # --- check suites ---
 
+def test_check_grids_past_the_size_cap(capsys):
+    # 2 x n grids over 30 vertices have frontier width 2 and go to the DP
+    code, doc = run_json(capsys, "check", "grids", "--n", "1..60")
+    rows = [r for r in doc["results"] if not r.get("skipped")]
+    assert code == 0 and len(rows) == 59 and all(r["holds"] for r in rows)
+
+
 def test_check_grids_skips_n2(capsys):
     code, doc = run_json(capsys, "check", "grids", "--n", "1..4")
     assert code == 0
@@ -181,10 +202,14 @@ def test_check_twins_solves_base_once(capsys, monkeypatch):
 
 def test_check_twins_over_cap_solves_nothing(capsys, monkeypatch):
     calls = _count_dr_solves(monkeypatch)
-    code, doc = run_json(capsys, "check", "twins", "--family", "path:30", "--vertex", "3")
+    code, doc = run_json(capsys, "check", "twins", "--family", "kn:30", "--vertex", "3")
     assert code == 0 and len(doc["results"]) == 2
     assert all(r.get("skipped") for r in doc["results"])
     assert calls == []
+    # low-width graphs over the cap go to the frontier DP, so their rows are solved
+    code, doc = run_json(capsys, "check", "twins", "--family", "path:30", "--vertex", "3")
+    assert code == 0 and [r["holds"] for r in doc["results"]] == [True, True]
+    assert len(calls) == 3  # P30 once and its two twins
 
 
 def test_check_fundamental_multiple_sources(capsys):

@@ -9,7 +9,7 @@ import pytest
 
 import drd.bounds
 from drd.errors import InvalidArgumentsError, ResourceLimitError
-from drd.formulas import gamma_dr_cycle, gamma_dr_grid2
+from drd.formulas import gamma_dr_corona_k1, gamma_dr_cycle, gamma_dr_grid2
 from drd.frontier import frontier_dp, frontier_order
 from drd.graph import (
     Graph,
@@ -117,10 +117,14 @@ def test_canonical_witness_is_deterministic_and_least(graphs_upto_5):
 
 
 def test_size_caps():
+    # the cap binds the branch and bound; over it only a graph the frontier DP
+    # takes is solved, and a wider one is refused
     with pytest.raises(ResourceLimitError):
-        solve_double_roman(path(31))
+        solve_double_roman(complete(31))
     with pytest.raises(ResourceLimitError):
-        solve_double_roman(path(8), max_n=7)
+        solve_double_roman(complete(8), max_n=7)
+    r = solve_double_roman(path(31))
+    assert (r.value, r.method) == (32, "frontier_dp")
     assert solve_double_roman(path(8), max_n=8).value == brute_force(path(8), "double_roman").value
     with pytest.raises(ResourceLimitError):
         brute_force(path(13), "double_roman")
@@ -131,7 +135,8 @@ def test_size_caps():
 def test_env_override(monkeypatch):
     monkeypatch.setenv("DRD_MAX_N", "6")
     with pytest.raises(ResourceLimitError):
-        solve_double_roman(path(7))
+        solve_double_roman(complete(7))
+    assert solve_double_roman(path(7)).method == "frontier_dp"
     assert solve_double_roman(path(7), max_n=7).value == 8
     monkeypatch.setenv("DRD_MAX_N", "12")
     assert solve_double_roman(path(12)).value == 12
@@ -198,31 +203,30 @@ def test_path_cycle_sweep_against_brute():
 # ---------------------------------------------------------------------------
 # Frontier DP: a third exact route, checked on its own against the oracle.
 
-def _dp_check(g, index_order=False):
+def _dp_check(g):
+    # the DP is exact along any order, and its witness is the lexicographically
+    # least optimum whatever the order: the oracle's witness
     adj = _sorted_adj(g)
-    orders = [frontier_order(adj)[1]] + ([list(range(g.n))] if index_order else [])
-    gamma = brute_force(g, "domination").value
+    forward = list(range(g.n))
+    orders = [frontier_order(adj)[1], forward, forward[::-1]]
     cases = [
-        (1, (0, 1, 2), brute_force(g, "roman").value, RomanLabeling, is_valid_rdf),
-        (2, (0, 2, 3), brute_force(g, "double_roman").value, DRLabeling, is_valid_drdf),
+        # domination is a {0,2} labeling with need 1 and twice the weight
+        (1, (0, 2), brute_force(g, "domination"), lambda vals: frozenset(
+            v for v in range(g.n) if vals[v])),
+        (1, (0, 1, 2), brute_force(g, "roman"), lambda vals: RomanLabeling(tuple(vals))),
+        (2, (0, 2, 3), brute_force(g, "double_roman"), lambda vals: DRLabeling(tuple(vals))),
     ]
     for order in orders:
-        # domination is a {0,2} labeling with need 1 and twice the weight
-        value, vals, entries = frontier_dp(adj, order, (0, 2), 1)
-        members = {v for v in range(g.n) if vals[v]}
-        assert value == 2 * len(members) == 2 * gamma, (g.edges(), order)
-        assert set(vals) <= {0, 2} and is_dominating(g, members) and entries > 0
-        for need, values, expect, kind, check in cases:
+        for need, values, expect, witness in cases:
             value, vals, entries = frontier_dp(adj, order, values, need)
-            witness = kind(tuple(vals))
-            assert value == expect == witness.weight, (need, g.edges(), order)
-            assert check(g, witness).valid and entries > 0
+            assert set(vals) <= set(values) and value == sum(vals) and entries > 0
+            # the oracle's witness is optimal, so this pins the value as well
+            assert witness(vals) == expect.witness, (need, values, g.edges(), order)
 
 
 def test_frontier_dp_matches_oracle_on_all_small_labeled_graphs(graphs_upto_5):
-    # the DP is exact along any order; the plain index order is tried as well
     for g in graphs_upto_5:
-        _dp_check(g, index_order=True)
+        _dp_check(g)
 
 
 def test_frontier_dp_matches_oracle_on_atlas():
@@ -241,6 +245,16 @@ def test_canonical_domination_matches_oracle_on_atlas():
             assert solve_domination(g, canonical=True).witness == expect, g.edges()
 
 
+def test_canonical_roman_and_double_roman_match_oracle_on_atlas():
+    nx = pytest.importorskip("networkx")
+    for atlas in nx.graph_atlas_g():
+        if 1 <= atlas.number_of_nodes() <= 7:
+            g = Graph.from_edges(atlas.number_of_nodes(), atlas.edges())
+            for name in ("roman", "double_roman"):
+                expect = brute_force(g, name).witness
+                assert SOLVERS[name](g, canonical=True).witness == expect, (name, g.edges())
+
+
 def test_dead_vertices_are_priced_at_the_least_nonzero_value():
     # gamma searches {0,2}: a vertex that must be nonzero costs 2, not need = 1;
     # the cheaper price finds the same value after 513 nodes
@@ -256,6 +270,54 @@ def test_frontier_order_width():
     assert frontier_order(_sorted_adj(complete(6)))[0] == 5
 
 
+def _frontier_order_by_rescan(adj):
+    """Reference for frontier_order: the same greedy choice, made by
+    recomputing the cost of every unplaced vertex at every step."""
+    n = len(adj)
+    unplaced_nbrs = [len(a) for a in adj]
+    placed = [False] * n
+    order = []
+    size = width = 0
+
+    def cost(v):
+        linked = closed = 0
+        for u in adj[v]:
+            if placed[u]:
+                linked += 1
+                closed += unplaced_nbrs[u] == 1
+        return 1 - closed - (unplaced_nbrs[v] == 0), -linked, len(adj[v])
+
+    for _ in range(n):
+        v = min((u for u in range(n) if not placed[u]), key=cost)
+        size += cost(v)[0]
+        width = max(width, size)
+        placed[v] = True
+        order.append(v)
+        for u in adj[v]:
+            unplaced_nbrs[u] -= 1
+    return width, order
+
+
+def test_frontier_order_matches_rescan():
+    nx = pytest.importorskip("networkx")
+    corpus = [
+        Graph.from_edges(a.number_of_nodes(), a.edges())
+        for a in nx.graph_atlas_g() if 1 <= a.number_of_nodes() <= 7
+    ]
+    corpus += [path(40), cycle(40), grid2(20), corona(cycle(10), trivial(1)),
+               cartesian_product(path(5), path(5)), cartesian_product(cycle(4), cycle(4)),
+               complete(9), star(7), trivial(6)]
+    rng = random.Random(11)
+    for _ in range(200):
+        n, p = rng.randint(8, 40), rng.uniform(0.03, 0.5)
+        corpus.append(Graph.from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        ))
+    for g in corpus:
+        adj = _sorted_adj(g)
+        assert frontier_order(adj) == _frontier_order_by_rescan(adj), g.edges()
+
+
 def test_closed_forms_up_to_the_size_cap():
     for n in range(1, 31):
         assert solve_double_roman(path(n)).value == n + (n % 3 != 0), n
@@ -264,6 +326,20 @@ def test_closed_forms_up_to_the_size_cap():
         assert solve_double_roman(cycle(n)).value == gamma_dr_cycle(n).value, n
     for n in [1] + list(range(3, 16)):
         assert solve_double_roman(grid2(n)).value == gamma_dr_grid2(n).value, n
+
+
+def test_closed_forms_past_the_size_cap():
+    # over the cap the branch and bound is never entered: these graphs have
+    # frontier width <= 2 and go straight to the DP, canonical witness included
+    for n in (31, 47, 90):
+        r = solve_double_roman(path(n), canonical=True)
+        assert (r.value, r.method) == (n + (n % 3 != 0), "frontier_dp"), n
+        assert solve_roman(path(n)).value == -(-2 * n // 3), n
+        assert solve_double_roman(cycle(n)).value == gamma_dr_cycle(n).value, n
+        assert solve_double_roman(grid2(n)).value == gamma_dr_grid2(n).value, n
+        for family in ("path", "cycle"):
+            fr = gamma_dr_corona_k1(family, (n,))
+            assert solve_double_roman(fr.graph).value == fr.value, (family, n)
 
 
 def test_route_choice(monkeypatch):
@@ -281,10 +357,13 @@ def test_route_choice(monkeypatch):
     }
     for g in (path(19), cycle(20), grid2(9)):
         for name, solver in SOLVERS.items():
-            assert solver(g).method == "frontier_dp"
+            plain = solver(g)
+            assert plain.method == "frontier_dp"
             r = solver(g, canonical=True)
             assert r.method == "frontier_dp"
             assert witness_text(r.witness) == canonical[g.name, name]
+            # the DP's optimum is already the canonical one: no second pass
+            assert (r.nodes_explored, r.witness) == (plain.nodes_explored, plain.witness)
     # gamma_R tables hold 3^w states, so width 5 (P5 x P5) still goes to the
     # DP for gamma_R; gamma_dR's 5^5 would not (its B&B solve, about 12 s, is not run)
     square = cartesian_product(path(5), path(5))
