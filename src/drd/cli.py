@@ -123,11 +123,12 @@ def resolve_one_graph(args, parser) -> tuple[Graph, str]:
 def _parse_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+        ns = list(range(int(lo), int(hi) + 1)) if sep else [int(text)]
     except ValueError:
         raise InvalidArgumentsError(f"bad range {text!r}") from None
+    if not ns:  # lo > hi: an empty check would report a vacuous pass
+        raise InvalidArgumentsError(f"empty range {text!r}")
+    return ns
 
 
 # ---------------------------------------------------------------------------

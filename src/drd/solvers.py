@@ -20,6 +20,7 @@ exhaustively on small graphs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -113,12 +114,16 @@ def greedy_dominating_set(g: Graph) -> frozenset[int]:
 GAIN = (0, 0, 1, 2)
 
 # The main pass measures the frontier width once it has explored this many
-# nodes (every connected graph on <= 6 vertices needs at most 110), and hands
-# over to the frontier DP when a step's table holds at most DP_MAX_STATES
-# entries. A frontier vertex has 2 * need + 1 states, so the DP takes widths
-# <= 5 for domination and Roman (3^5 = 243) and <= 4 for double Roman
-# (5^4 = 625).
-DP_CHECKPOINT = 1000
+# nodes (every connected graph on <= 6 vertices needs at most 72, canonical
+# pass included), and hands over to the frontier DP when a step's table holds
+# at most DP_MAX_STATES entries. A frontier vertex has 2 * need + 1 states, so
+# the DP takes widths <= 5 for domination and Roman (3^5 = 243) and <= 4 for
+# double Roman (5^4 = 625). Timed at 150, 300, 500 and 1000: a higher value
+# hands fewer random graphs to a DP that can cost more than the search it
+# replaces, a lower one hands the paper's families over sooner. 500 came
+# within 3% of the best on seeded random graphs and 11% on the families,
+# where 1000 took 15% longer than 500.
+DP_CHECKPOINT = 500
 DP_MAX_STATES = 5**4
 
 
@@ -135,6 +140,14 @@ def _dp_order(adj: tuple[tuple[int, ...], ...], need: int) -> list[int] | None:
     return order if dp_fits(width, need) else None
 
 
+@functools.lru_cache(maxsize=256)
+def _rest_table(per: int, clears: int, deficit: int) -> list[int]:
+    """The least weight that clears d <= deficit at `clears` per `per` weight.
+
+    Cached, so searches share the list: it is only read."""
+    return [-(-d * per // clears) for d in range(deficit + 1)]
+
+
 def _label_search(
     adj: tuple[tuple[int, ...], ...],
     order: list[int],
@@ -148,14 +161,20 @@ def _label_search(
 ) -> tuple[int, list[int] | None, int]:
     """DFS over `value_order` assignments in `order`, pruning against best_w.
 
-    Each vertex keeps one counter,
-    key[v] = need * (unassigned neighbors of v) + credit(v),
-    so key[v] < need exactly when v has no unassigned neighbor left and too
-    little credit: a 0 there is irreparable, and an unassigned vertex there
-    must take a nonzero value, at least the least nonzero value of the
-    alphabet; that prices the lower bound.
-    `dead` counts those unassigned vertices and is kept up to date by
-    assign/unassign, since keys only fall as vertices are assigned.
+    credit[v] is the credit v has from its assigned neighbors. Vertices are
+    assigned in `order`, so once order[i] is assigned every vertex in
+    closes[i] has no unassigned neighbor left and its credit is final: a 0
+    there with too little credit is irreparable, and an unassigned vertex
+    there is dead, it must take a nonzero value, at least the least nonzero
+    value of the alphabet. `dead` counts the dead vertices.
+
+    `deficit` sums need - credit[v] over the unassigned and 0-valued vertices
+    still short of need. A complete labeling has none, and giving x to a
+    vertex of order[i:] clears at most need + GAIN[x] * (the largest degree
+    in order[i:]) of it, so the rest weighs at least rest[i][deficit]: a
+    counting bound, nonzero at the root (gamma_dR >= 3n/(Delta+1) for
+    Delta >= 2, gamma_R >= 2n/(Delta+1)). Both bounds are kept up to date as
+    values are assigned and taken back, and the search prunes on the larger.
 
     With stop_on_improve the search halts at the first assignment strictly
     beating best_w; seeding best_w = opt + 1 and assigning values in
@@ -170,49 +189,38 @@ def _label_search(
     """
     n = len(adj)
     vals = [-1] * n
-    key = [need * len(a) for a in adj]
-    dead = key.count(0)  # isolated vertices
+    credit = [0] * n
     floor = min(x for x in value_order if x)  # the price of a dead vertex
+    last = [-1] * n  # last[v]: the depth at which v's last neighbor is assigned
+    for i, w in enumerate(order):
+        for u in adj[w]:
+            last[u] = i
+    closes: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        if last[v] >= 0:
+            closes[last[v]].append(v)
+    shut = [last[w] < i for i, w in enumerate(order)]  # no unassigned neighbor left
+    dead = last.count(-1)  # isolated vertices
+    deficit = need * n
+    rest = []  # rest[i][d]: the least weight with which order[i:] clears a deficit d
+    top = 0
+    for w in reversed(order):
+        if len(adj[w]) > top or not rest:
+            top = len(adj[w])
+            per, clears = 1, 0  # the value x clearing the most per unit: clears / per
+            for x in value_order:
+                c = need + GAIN[x] * top
+                if x and c * per > clears * x:
+                    per, clears = x, c
+            table = _rest_table(per, clears, deficit)
+        rest.append(table)
+    rest.reverse()
     nodes = 0
     done = False
     stop_at, test = checkpoint if checkpoint else (-1, None)
 
-    def assign(w: int, x: int) -> bool:
-        nonlocal dead
-        vals[w] = x
-        ok = True
-        if key[w] < need:
-            dead -= 1
-            ok = x != 0
-        d = GAIN[x] - need
-        if not d:
-            return ok  # keys unchanged; every assigned 0 was already satisfied
-        for u in adj[w]:
-            k = key[u] + d
-            key[u] = k
-            if k < need:
-                if vals[u] < 0:
-                    if k - d >= need:
-                        dead += 1
-                elif vals[u] == 0:
-                    ok = False
-        return ok
-
-    def unassign(w: int, x: int):
-        nonlocal dead
-        vals[w] = -1
-        d = GAIN[x] - need
-        if d:
-            for u in adj[w]:
-                k = key[u]
-                key[u] = k - d
-                if vals[u] < 0 and k < need <= k - d:
-                    dead -= 1
-        if key[w] < need:
-            dead += 1
-
     def rec(depth: int, wgt: int):
-        nonlocal best_w, best_vals, nodes, done
+        nonlocal best_w, best_vals, nodes, done, dead, deficit
         nodes += 1
         if nodes == stop_at and test():
             best_vals = None
@@ -228,17 +236,55 @@ def _label_search(
                 if stop_on_improve:
                     done = True
             return
-        if wgt + floor * dead >= best_w:
+        if wgt + floor * dead >= best_w or wgt + rest[depth][deficit] >= best_w:
             return
         w = order[depth]
+        nbrs = adj[w]
+        shut_w = shut[depth] and credit[w] < need
+        own = need - credit[w] if credit[w] < need else 0
         for x in value_order:
             if wgt + x >= best_w:
                 continue
-            if assign(w, x):
+            # assign x to w: credit its neighbors, then close what w was last to reach
+            vals[w] = x
+            ok = True
+            if shut_w:
+                dead -= 1
+                ok = x != 0
+            g = GAIN[x]
+            if x:
+                deficit -= own
+                if g:
+                    for u in nbrs:
+                        c = credit[u]
+                        credit[u] = c + g
+                        if c < need and vals[u] <= 0:
+                            deficit -= g if g < need - c else need - c
+            for u in closes[depth]:
+                if credit[u] < need:
+                    if vals[u] < 0:
+                        dead += 1
+                    elif not vals[u]:
+                        ok = False
+            if ok:
                 rec(depth + 1, wgt + x)
                 if done:
                     return  # the counters are no longer needed
-            unassign(w, x)
+            # take x back, in reverse
+            for u in closes[depth]:
+                if vals[u] < 0 and credit[u] < need:
+                    dead -= 1
+            if x:
+                if g:
+                    for u in nbrs:
+                        c = credit[u] - g
+                        credit[u] = c
+                        if c < need and vals[u] <= 0:
+                            deficit += g if g < need - c else need - c
+                deficit += own
+            if shut_w:
+                dead += 1
+        vals[w] = -1
 
     rec(0, 0)
     return best_w, best_vals, nodes

@@ -162,6 +162,11 @@ def test_check_grids_past_the_size_cap(capsys):
     assert code == 0 and len(rows) == 59 and all(r["holds"] for r in rows)
 
 
+def test_check_grids_rejects_an_empty_range(capsys):
+    assert main(["check", "grids", "--n", "5..1"]) == 2
+    assert main(["check", "grids", "--n", "5..x"]) == 2
+
+
 def test_check_grids_skips_n2(capsys):
     code, doc = run_json(capsys, "check", "grids", "--n", "1..4")
     assert code == 0
