@@ -369,7 +369,6 @@ def scan_pair_realizability(
     b: int,
     n_max: int = 6,
     connected_only: bool = True,
-    processes: int = 1,
 ) -> PairScanResult:
     """Search all labeled graphs up to n_max vertices for one with Roman
     number a and double Roman number b.
@@ -379,8 +378,7 @@ def scan_pair_realizability(
     graphs_scanned counts every labeled graph scanned up to it (with
     connected_only, the connected ones). Both invariants are the same on
     isomorphic graphs, so each isomorphism class is solved once, at its
-    first mask, and its other masks only add to the count. processes is
-    validated for compatibility; the scan runs in this process.
+    first mask, and its other masks only add to the count.
     """
     if n_max > MAX_ENUMERATION_N:
         raise ResourceLimitError(
@@ -388,8 +386,6 @@ def scan_pair_realizability(
         )
     if n_max < 1:
         raise InvalidArgumentsError(f"need n_max >= 1, got {n_max}")
-    if processes < 1:
-        raise InvalidArgumentsError(f"need processes >= 1, got {processes}")
 
     scanned = 0
     for n in range(1, n_max + 1):

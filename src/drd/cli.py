@@ -269,9 +269,10 @@ def cmd_check_grids(args, parser):
 
 
 def cmd_check_pairs(args, parser):
+    if args.threads < 1:
+        raise InvalidArgumentsError(f"--threads must be >= 1, got {args.threads}")
     sr = B.scan_pair_realizability(
-        args.a, args.b, n_max=args.nmax,
-        connected_only=args.connected_only, processes=args.threads,
+        args.a, args.b, n_max=args.nmax, connected_only=args.connected_only
     )
     return {"a": args.a, "b": args.b, "nmax": args.nmax}, [R.row_from_scan(sr)], None
 

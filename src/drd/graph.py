@@ -20,6 +20,13 @@ from .errors import (
 
 MAX_ENUMERATION_N = 7
 
+# Size bounds on every graph, checked before its adjacency is built. They are
+# far above the largest graphs the solvers take (trivial:1500, path:200,
+# grid2:60) and far below what exhausts memory: K_1414, the densest graph
+# allowed, is built and refused by the solver cap within about 0.5 GB.
+MAX_GRAPH_N = 100_000
+MAX_GRAPH_EDGES = 1_000_000
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -51,8 +58,15 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], name: str | None = None) -> Graph:
+        """The graph on n vertices with these edges. Refuses n > MAX_GRAPH_N
+        up front and more than MAX_GRAPH_EDGES edges as they are consumed, so
+        pass an iterator to refuse a huge edge set before it is built."""
+        if n > MAX_GRAPH_N:
+            raise ResourceLimitError(f"graphs support n <= {MAX_GRAPH_N}, got n = {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
+        for m, (u, v) in enumerate(edges, 1):
+            if m > MAX_GRAPH_EDGES:
+                raise ResourceLimitError(f"graphs support at most {MAX_GRAPH_EDGES} edges")
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidArgumentsError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -136,12 +150,11 @@ def generate(spec: FamilySpec) -> Graph:
     if kind == "path":
         _require(len(params) == 1 and params[0] >= 1, "path requires n >= 1")
         n = params[0]
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)], f"P{n}")
+        return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)), f"P{n}")
     if kind == "cycle":
         _require(len(params) == 1 and params[0] >= 3, "cycle requires n >= 3")
         n = params[0]
-        edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
-        return Graph.from_edges(n, edges, f"C{n}")
+        return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)), f"C{n}")
     if kind == "complete":
         _require(len(params) == 1 and params[0] >= 1, "complete requires n >= 1")
         n = params[0]
@@ -149,21 +162,21 @@ def generate(spec: FamilySpec) -> Graph:
     if kind == "complete_bipartite":
         _require(len(params) == 2 and min(params) >= 1, "complete_bipartite requires p,q >= 1")
         p, q = params
-        edges = [(i, p + j) for i in range(p) for j in range(q)]
+        edges = ((i, p + j) for i in range(p) for j in range(q))
         return Graph.from_edges(p + q, edges, f"K{p},{q}")
     if kind == "star":
         _require(len(params) == 1 and params[0] >= 0, "star requires m >= 0")
         m = params[0]
         if m == 0:
             return Graph.from_edges(1, [], "K1")
-        return Graph.from_edges(m + 1, [(0, j) for j in range(1, m + 1)], f"K1,{m}")
+        return Graph.from_edges(m + 1, ((0, j) for j in range(1, m + 1)), f"K1,{m}")
     if kind == "grid2":
         _require(len(params) == 1 and params[0] >= 1, "grid2 requires n >= 1")
         n = params[0]
-        edges = []
-        for i in (0, 1):
-            edges += [(i * n + j, i * n + j + 1) for j in range(n - 1)]
-        edges += [(j, n + j) for j in range(n)]
+        edges = itertools.chain(
+            ((i * n + j, i * n + j + 1) for i in (0, 1) for j in range(n - 1)),
+            ((j, n + j) for j in range(n)),
+        )
         return Graph.from_edges(2 * n, edges, f"G2,{n}")
     if kind == "trivial":
         _require(len(params) == 1 and params[0] >= 1, "trivial requires n >= 1")
@@ -171,10 +184,9 @@ def generate(spec: FamilySpec) -> Graph:
         return Graph.from_edges(n, [], "K1" if n == 1 else f"{n}K1")
     if kind == "disjoint_union":
         _require(len(spec.parts) >= 1, "disjoint_union requires at least one part")
-        parts = [generate(p) for p in spec.parts]
-        out = parts[0]
-        for h in parts[1:]:
-            out = disjoint_union(out, h)
+        out = generate(spec.parts[0])
+        for part in spec.parts[1:]:  # one part at a time, so the size bounds act early
+            out = disjoint_union(out, generate(part))
         return out
     raise InvalidSpecError(f"unknown family kind {kind!r}")
 
@@ -220,14 +232,16 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     (u1,v1) ~ (u2,v2) iff u1 = u2 and v1 ~_h v2, or u1 ~_g u2 and v1 = v2.
     """
     nh = h.n
-    edges = []
-    for u in range(g.n):
-        for v1, v2 in h.edges():
-            edges.append((u * nh + v1, u * nh + v2))
-    for u1, u2 in g.edges():
-        for v in range(nh):
-            edges.append((u1 * nh + v, u2 * nh + v))
-    return Graph.from_edges(g.n * nh, edges, f"{_tag(g)} x {_tag(h)}")
+
+    def edges():
+        for u in range(g.n):
+            for v1, v2 in h.edges():
+                yield u * nh + v1, u * nh + v2
+        for u1, u2 in g.edges():
+            for v in range(nh):
+                yield u1 * nh + v, u2 * nh + v
+
+    return Graph.from_edges(g.n * nh, edges(), f"{_tag(g)} x {_tag(h)}")
 
 
 def corona(g: Graph, h: Graph) -> Graph:
@@ -237,14 +251,17 @@ def corona(g: Graph, h: Graph) -> Graph:
     block n1 + i*n2 .. n1 + (i+1)*n2 - 1.
     """
     n1, n2 = g.n, h.n
-    edges = list(g.edges())
-    for i in range(n1):
-        base = n1 + i * n2
-        for a, b in h.edges():
-            edges.append((base + a, base + b))
-        for a in range(n2):
-            edges.append((i, base + a))
-    return Graph.from_edges(n1 * (1 + n2), edges, f"corona({_tag(g)},{_tag(h)})")
+
+    def edges():
+        yield from g.edges()
+        for i in range(n1):
+            base = n1 + i * n2
+            for a, b in h.edges():
+                yield base + a, base + b
+            for a in range(n2):
+                yield i, base + a
+
+    return Graph.from_edges(n1 * (1 + n2), edges(), f"corona({_tag(g)},{_tag(h)})")
 
 
 @dataclass(frozen=True)

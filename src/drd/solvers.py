@@ -1,7 +1,7 @@
 """Exact solvers for domination, Roman domination and double Roman domination.
 
 All three invariants are solved by one branch-and-bound labeling engine
-(`_label_search`), checked against an independent exhaustive oracle
+(`_labelings`), checked against an independent exhaustive oracle
 (`brute_force`). The two routes share nothing beyond the graph type, so
 agreement between them is meaningful evidence of correctness. The engine
 differs between the invariants only in the alphabet, the value order and how
@@ -24,7 +24,7 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 from .errors import DrdError, InvalidArgumentsError, ResourceLimitError
 from .graph import Graph
@@ -148,18 +148,21 @@ def _rest_table(per: int, clears: int, deficit: int) -> list[int]:
     return [-(-d * per // clears) for d in range(deficit + 1)]
 
 
-def _label_search(
+def _labelings(
     adj: tuple[tuple[int, ...], ...],
     order: list[int],
     value_order: tuple[int, ...],
     need: int,
-    best_w: int,
-    best_vals: list[int] | None,
-    stop_on_improve: bool,
-    checkpoint: tuple[int, Callable[[], bool]] | None = None,
-    collect: list[list[int]] | None = None,
-) -> tuple[int, list[int] | None, int]:
-    """DFS over `value_order` assignments in `order`, pruning against best_w.
+    bound: list[int],
+) -> Iterator[list[int] | None]:
+    """DFS over `value_order` assignments in `order`, on an explicit stack.
+
+    Yields a copy of every complete labeling lighter than bound[0] as it
+    meets them (the caller may lower bound[0] in between), and None once, at
+    DP_CHECKPOINT nodes; a caller that stops iterating abandons the search.
+    bound[1] is the node count, up to date at every yield and at the end.
+    With values ascending and bound[0] = opt + 1, the first labeling yielded
+    is the lexicographically least optimum.
 
     credit[v] is the credit v has from its assigned neighbors. Vertices are
     assigned in `order`, so once order[i] is assigned every vertex in
@@ -175,17 +178,6 @@ def _label_search(
     counting bound, nonzero at the root (gamma_dR >= 3n/(Delta+1) for
     Delta >= 2, gamma_R >= 2n/(Delta+1)). Both bounds are kept up to date as
     values are assigned and taken back, and the search prunes on the larger.
-
-    With stop_on_improve the search halts at the first assignment strictly
-    beating best_w; seeding best_w = opt + 1 and assigning values in
-    ascending order therefore returns the lexicographically least optimum.
-
-    checkpoint = (count, test): when the search reaches `count` nodes it calls
-    test() once; if that returns true the search is abandoned and returns
-    None as its values.
-
-    With a `collect` list the search appends every complete labeling
-    lighter than best_w, in the order it meets them, and never lowers best_w.
     """
     n = len(adj)
     vals = [-1] * n
@@ -215,79 +207,91 @@ def _label_search(
             table = _rest_table(per, clears, deficit)
         rest.append(table)
     rest.reverse()
-    nodes = 0
-    done = False
-    stop_at, test = checkpoint if checkpoint else (-1, None)
-
-    def rec(depth: int, wgt: int):
-        nonlocal best_w, best_vals, nodes, done, dead, deficit
-        nodes += 1
-        if nodes == stop_at and test():
-            best_vals = None
-            done = True
-            return
-        if depth == n:
-            if wgt < best_w:
-                if collect is not None:
-                    collect.append(vals.copy())
-                    return
-                best_w = wgt
-                best_vals = vals.copy()
-                if stop_on_improve:
-                    done = True
-            return
-        if wgt + floor * dead >= best_w or wgt + rest[depth][deficit] >= best_w:
-            return
+    k = len(value_order)
+    nxt = [0] * n  # nxt[i]: where order[i] resumes in value_order
+    best = bound[0]
+    bound[1] = nodes = 1  # the root
+    if floor * dead >= best or rest[0][deficit] >= best:
+        return
+    depth = i = wgt = 0  # order[:depth] is assigned and weighs wgt
+    while True:
+        # order[depth] takes back its value, if any, and tries value_order[i:]
         w = order[depth]
         nbrs = adj[w]
+        cl = closes[depth]
         shut_w = shut[depth] and credit[w] < need
         own = need - credit[w] if credit[w] < need else 0
-        for x in value_order:
-            if wgt + x >= best_w:
+        x = vals[w]
+        while True:
+            if x >= 0:  # take x back, in reverse
+                wgt -= x
+                for u in cl:
+                    if vals[u] < 0 and credit[u] < need:
+                        dead -= 1
+                if x:
+                    g = GAIN[x]
+                    if g:
+                        for u in nbrs:
+                            c = credit[u] - g
+                            credit[u] = c
+                            if c < need and vals[u] <= 0:
+                                deficit += g if g < need - c else need - c
+                    deficit += own
+                if shut_w:
+                    dead += 1
+            if i == k:
+                x = -1
+                break
+            x = value_order[i]
+            i += 1
+            if wgt + x >= best:
+                x = -1
                 continue
             # assign x to w: credit its neighbors, then close what w was last to reach
             vals[w] = x
+            wgt += x
             ok = True
             if shut_w:
                 dead -= 1
                 ok = x != 0
-            g = GAIN[x]
             if x:
                 deficit -= own
+                g = GAIN[x]
                 if g:
                     for u in nbrs:
                         c = credit[u]
                         credit[u] = c + g
                         if c < need and vals[u] <= 0:
                             deficit -= g if g < need - c else need - c
-            for u in closes[depth]:
+            for u in cl:
                 if credit[u] < need:
                     if vals[u] < 0:
                         dead += 1
                     elif not vals[u]:
                         ok = False
-            if ok:
-                rec(depth + 1, wgt + x)
-                if done:
-                    return  # the counters are no longer needed
-            # take x back, in reverse
-            for u in closes[depth]:
-                if vals[u] < 0 and credit[u] < need:
-                    dead -= 1
-            if x:
-                if g:
-                    for u in nbrs:
-                        c = credit[u] - g
-                        credit[u] = c
-                        if c < need and vals[u] <= 0:
-                            deficit += g if g < need - c else need - c
-                deficit += own
-            if shut_w:
-                dead += 1
-        vals[w] = -1
-
-    rec(0, 0)
-    return best_w, best_vals, nodes
+            if ok:  # a node: order[:depth + 1] is assigned
+                nodes += 1
+                if nodes == DP_CHECKPOINT:
+                    bound[1] = nodes
+                    yield None
+                if depth + 1 == n:
+                    if wgt < best:
+                        bound[1] = nodes
+                        yield vals.copy()
+                        best = bound[0]
+                elif wgt + floor * dead < best and wgt + rest[depth + 1][deficit] < best:
+                    break  # expand it
+        if x >= 0:
+            nxt[depth] = i
+            depth += 1
+            i = 0
+        else:  # no value left: back up
+            vals[w] = -1
+            if depth == 0:
+                bound[1] = nodes
+                return
+            depth -= 1
+            i = nxt[depth]
 
 
 def _sorted_adj(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -303,51 +307,50 @@ def _solve_labeling(
 ) -> tuple[int, list[int], int, str]:
     """Weight, values, work and method of a minimum labeling for `need`.
 
-    The branch-and-bound main pass runs first, in `_degree_order` with values
-    tried in `value_order`, from an incumbent that puts the top value on a
-    greedy dominating set (for Roman, all 1s when those weigh no more). If it
-    reaches DP_CHECKPOINT nodes, the frontier order is computed once; when
-    `dp_fits` takes its width the search hands over to `frontier.frontier_dp`,
-    otherwise it carries on. Graphs solved below the checkpoint never pay for
-    the order. The DP returns the lexicographically least optimum, so after
-    it no canonical pass is needed; otherwise, with canonical=True, the
-    lex-first pass (index order, ascending values) rediscovers the optimum,
-    with the same hand-over. Above `cap` vertices the branch and bound is not
-    entered: the graph goes to the DP if its width fits and is refused with
-    ResourceLimitError if not.
+    The main pass searches in `_degree_order`, values tried in `value_order`,
+    below an incumbent that puts the top value on a greedy dominating set
+    (for Roman, all 1s when those weigh no more), and lowers its bound on
+    each labeling it gets. At DP_CHECKPOINT nodes it computes the frontier
+    order once and hands over to `frontier.frontier_dp` if `dp_fits` takes
+    its width. The DP returns the lexicographically least optimum; after the
+    search, canonical=True runs a lex-first pass (index order, ascending
+    values) that takes the first optimum, with the same hand-over unless the
+    width was measured already. Above `cap` vertices there is no search: the
+    graph goes to the DP if its width fits and is refused if not.
     """
     adj = _sorted_adj(g)
     values = tuple(sorted(value_order))
-    measured = False
     dp_order: list[int] | None = None  # set when a pass hands over
-
-    def low_width() -> bool:
-        nonlocal measured, dp_order
-        if measured:
-            return False  # a second pass: the first found the width too large
-        measured = True
-        dp_order = _dp_order(adj, need)
-        return dp_order is not None
-
     nodes = 0
     if g.n > cap:
-        if not low_width():
+        dp_order = _dp_order(adj, need)
+        if dp_order is None:
             _check_cap(g.n, cap, what)  # too wide for the DP: refused
     else:
         greedy = greedy_dominating_set(g)
         top = values[-1]
-        inc_w, inc_vals = top * len(greedy), [top if v in greedy else 0 for v in range(g.n)]
-        if 1 in values and inc_w >= g.n:
-            inc_w, inc_vals = g.n, [1] * g.n
-        checkpoint = (DP_CHECKPOINT, low_width)
-        best_w, best_vals, nodes = _label_search(
-            adj, _degree_order(g), value_order, need, inc_w, inc_vals, False, checkpoint
-        )
+        best_w, best_vals = top * len(greedy), [top if v in greedy else 0 for v in range(g.n)]
+        if 1 in values and best_w >= g.n:
+            best_w, best_vals = g.n, [1] * g.n
+        bound = [best_w, 0]
+        for vals in _labelings(adj, _degree_order(g), value_order, need, bound):
+            if vals is not None:
+                best_w = bound[0] = sum(vals)
+                best_vals = vals
+            elif (dp_order := _dp_order(adj, need)) is not None:
+                break
+        nodes = bound[1]
         if canonical and dp_order is None:
-            best_w, best_vals, extra = _label_search(
-                adj, list(range(g.n)), values, need, best_w + 1, None, True, checkpoint
-            )
-            nodes += extra
+            measured = nodes >= DP_CHECKPOINT  # the main pass found the width too large
+            bound = [best_w + 1, 0]
+            best_vals = None
+            for vals in _labelings(adj, list(range(g.n)), values, need, bound):
+                if vals is not None:
+                    best_vals = vals
+                    break
+                if not measured and (dp_order := _dp_order(adj, need)) is not None:
+                    break
+            nodes += bound[1]
     if dp_order is not None:
         from .frontier import frontier_dp
 
@@ -500,11 +503,8 @@ def enumerate_min_drdfs(
     _check_cap(g.n, max_n if max_n is not None else MINIMA_MAX_N, "enumerate_min_drdfs")
     if opt is None:
         opt = solve_double_roman(g, max_n=g.n).value
-    found: list[list[int]] = []
-    _label_search(
-        _sorted_adj(g), list(range(g.n)), (0, 2, 3), 2, opt + 1, None, False, collect=found
-    )
-    minima = [DRLabeling(tuple(vals)) for vals in found]
+    found = _labelings(_sorted_adj(g), list(range(g.n)), (0, 2, 3), 2, [opt + 1, 0])
+    minima = [DRLabeling(tuple(vals)) for vals in found if vals is not None]
     if not minima or any(f.weight != opt or not is_valid_drdf(g, f) for f in minima):
         raise DrdError(f"minimum enumeration found no valid minima of weight {opt}")
     return iter(minima)

@@ -234,13 +234,13 @@ def test_criterion_09_realization_builders():
 
 def test_criterion_10_pair_scans():
     failures = []
-    none_45 = scan_pair_realizability(4, 5, n_max=6, processes=4)
+    none_45 = scan_pair_realizability(4, 5, n_max=6)
     if none_45.found is not None:
         failures.append("(4,5) unexpectedly realized at n <= 6")
-    none_24 = scan_pair_realizability(2, 4, n_max=6, processes=4)
+    none_24 = scan_pair_realizability(2, 4, n_max=6)
     if none_24.found is not None:
         failures.append("(2,4) unexpectedly realized at n <= 6")
-    hit_23 = scan_pair_realizability(2, 3, n_max=6, processes=4)
+    hit_23 = scan_pair_realizability(2, 3, n_max=6)
     if hit_23.found is None:
         failures.append("(2,3) should be realizable")
     else:

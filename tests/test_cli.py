@@ -97,8 +97,35 @@ def test_compute_over_cap_goes_to_the_frontier_dp(capsys):
     assert code == 0 and row["value"] == 201
     witness = parse_labeling(row["witness"], "drdf")
     assert witness.weight == 201 and is_valid_drdf(path(200), witness).valid
-    # width 0: the branch and bound, which recurses once per vertex, is never entered
+    # width 0: the graph goes to the frontier DP without a search
     assert main(["compute", "--family", "trivial:1500"]) == 0
+
+
+def test_compute_deep_search(capsys):
+    # K7 makes the graph too wide for the DP, so the search runs 1,007 levels deep
+    argv = ["compute", "--family", "kn:7+trivial:1000", "--max-n", "5000", "--invariant", "gr"]
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--family", "kn:60000"],
+    ["construct", "family", "--spec", "trivial:40000000"],
+    ["compute", "--edge-list", "{huge}"],
+    ["check", "corona", "--family", "trivial:50000", "--with", "trivial:50000"],
+])
+def test_huge_graphs_are_refused_before_they_are_built(argv, tmp_path):
+    resource = pytest.importorskip("resource")
+    limit = 1500 * 2**20  # a regression then fails here, not the machine's memory
+    huge = tmp_path / "huge.txt"
+    huge.write_text("50000000 0\n")
+    argv = [a.format(huge=huge) for a in argv]
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    r = subprocess.run([sys.executable, "-m", "drd.cli", *argv], capture_output=True,
+                       text=True, preexec_fn=cap_memory)
+    assert r.returncode == 2 and "graphs support" in r.stderr
 
 
 def test_bad_graph6_exit_code(capsys):
@@ -175,6 +202,11 @@ def test_check_grids_skips_n2(capsys):
     skipped = [r for r in rows if r.get("skipped")]
     assert len(skipped) == 1 and skipped[0]["params"]["n"] == 2
     assert all(r["holds"] for r in rows if "holds" in r)
+
+
+def test_check_pairs_rejects_zero_threads(capsys):
+    assert main(["check", "pairs", "--a", "2", "--b", "3", "--nmax", "3", "--threads", "0"]) == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
 
 
 def test_check_pairs(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import networkx as nx
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drd.graph
 from drd.errors import GraphParseError, InvalidArgumentsError, InvalidSpecError, ResourceLimitError
 from drd.graph import (
+    MAX_GRAPH_N,
     FamilySpec,
     Graph,
     RootedGraph,
@@ -59,6 +62,19 @@ def test_from_edges_and_edges_roundtrip():
     g = Graph.from_edges(4, [(2, 0), (1, 2)])
     assert g.edges() == [(0, 2), (1, 2)]
     assert g.adj[2] == frozenset({0, 1})
+
+
+def test_from_edges_size_bounds(monkeypatch):
+    with pytest.raises(ResourceLimitError, match="n <= 100000"):
+        Graph.from_edges(MAX_GRAPH_N + 1, [])
+    monkeypatch.setattr(drd.graph, "MAX_GRAPH_EDGES", 10)
+    assert complete(5).edge_count == 10
+    with pytest.raises(ResourceLimitError, match="at most 10 edges"):
+        complete(6)
+    with pytest.raises(ResourceLimitError):  # edges are counted as they are consumed
+        Graph.from_edges(2, itertools.repeat((0, 1)))
+    with pytest.raises(ResourceLimitError):  # and the operators' graphs
+        corona(path(3), path(3))
 
 
 def test_family_shapes():

@@ -433,3 +433,12 @@ def test_root_bound_closes_cycles():
     for k in range(5, 11):
         r = solve_double_roman(cycle(3 * k))
         assert (r.value, r.method, r.nodes_explored) == (3 * k, "branch_and_bound", 1), k
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # K7 keeps the graph too wide for the DP, so the search runs through all
+    # 1,007 vertices, past Python's default recursion limit of 1,000
+    g = disjoint_union(complete(7), trivial(1000))
+    for solver, value in ((solve_roman, 1002), (solve_domination, 1001)):
+        r = solver(g, max_n=5000)
+        assert (r.value, r.method) == (value, "branch_and_bound")
