@@ -104,26 +104,38 @@ def frontier_dp(
         drop = [j for j, u in enumerate(frontier) if last[u] == i]
         frontier = [frontier[j] for j in keep]
         shift = 2 * (n - 1 - v)
+        # per value: its weight, its code, v's state under it (None: the
+        # credit v holds) and how it moves its placed neighbors' states
+        options = [
+            (x, x << shift, need + GAIN[x] if x else None, bump[GAIN[x]] if GAIN[x] else None)
+            for x in values
+        ]
         new: dict[tuple[int, ...], tuple[int, int]] = {}
+        get = new.get
         for state, (wgt, code) in table.items():
-            credit = sum(gives[state[j]] for j in nb)
-            for x in values:
-                g = GAIN[x]
+            credit = 0
+            for j in nb:
+                credit += gives[state[j]]
+            if credit > need:
+                credit = need
+            for x, xcode, own, up in options:
                 full = list(state)
-                if x == 0:
-                    full.append(min(credit, need))
+                if own is None:
+                    full.append(credit)
                 else:
-                    full.append(need + g)
-                    if g:
-                        up = bump[g]
+                    full.append(own)
+                    if up is not None:
                         for j in nb:
                             full[j] = up[full[j]]
-                if any(full[j] < need for j in drop):
-                    continue
-                k = tuple([full[j] for j in keep])
-                key = (wgt + x, code + (x << shift))
-                if k not in new or key < new[k]:
-                    new[k] = key
+                for j in drop:
+                    if full[j] < need:
+                        break
+                else:
+                    k = tuple([full[j] for j in keep])
+                    key = (wgt + x, code + xcode)
+                    old = get(k)
+                    if old is None or key < old:
+                        new[k] = key
         table = new
         entries += len(new)
     best_w, code = table[()]

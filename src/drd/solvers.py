@@ -87,18 +87,36 @@ def greedy_dominating_set(g: Graph) -> frozenset[int]:
     """Pick the vertex covering the most uncovered vertices until done.
 
     Ties break toward the lowest index, so the result is deterministic.
+    Vertices wait in buckets by gain, which are drained from the top, each
+    sorted once by index. Gains only fall, so no vertex has more gain than
+    the bucket being drained, and one found there with less is moved down
+    to its current gain; O((n + m) log n) in all.
     """
-    uncovered = set(range(g.n))
+    adj = g.adj
+    gain = [len(a) + 1 for a in adj]  # v itself and its neighbors, all uncovered
+    buckets: list[list[int]] = [[] for _ in range(max(gain) + 1)]
+    for v, c in enumerate(gain):
+        buckets[c].append(v)
+    covered = [False] * g.n
     chosen = []
-    while uncovered:
-        best_v, best_gain = -1, 0
-        for v in range(g.n):
-            gain = (v in uncovered) + sum(1 for u in g.adj[v] if u in uncovered)
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        chosen.append(best_v)
-        uncovered.discard(best_v)
-        uncovered -= g.adj[best_v]
+    left = g.n
+    c = len(buckets) - 1
+    while left:
+        bucket = buckets[c]
+        bucket.sort()
+        for v in bucket:
+            if gain[v] != c:
+                buckets[gain[v]].append(v)
+                continue
+            chosen.append(v)
+            for u in (v, *adj[v]):
+                if not covered[u]:
+                    covered[u] = True
+                    left -= 1
+                    gain[u] -= 1
+                    for w in adj[u]:
+                        gain[w] -= 1
+        c -= 1
     return frozenset(chosen)
 
 
@@ -169,24 +187,41 @@ def _labelings(
     closes[i] has no unassigned neighbor left and its credit is final: a 0
     there with too little credit is irreparable, and an unassigned vertex
     there is dead, it must take a nonzero value, at least the least nonzero
-    value of the alphabet. `dead` counts the dead vertices.
+    value of the alphabet (`floor`). `dead` counts the dead vertices.
 
-    `deficit` sums need - credit[v] over the unassigned and 0-valued vertices
-    still short of need. A complete labeling has none, and giving x to a
-    vertex of order[i:] clears at most need + GAIN[x] * (the largest degree
-    in order[i:]) of it, so the rest weighs at least rest[i][deficit]: a
-    counting bound, nonzero at the root (gamma_dR >= 3n/(Delta+1) for
-    Delta >= 2, gamma_R >= 2n/(Delta+1)). Both bounds are kept up to date as
-    values are assigned and taken back, and the search prunes on the larger.
+    The bit mask `short` holds the unassigned and 0-valued vertices still
+    short of need (1 or 2), and `bare` those of them with no credit at all,
+    so they lack deficit = |short| + |bare| in total; a complete labeling
+    lacks none. Both are set per depth when a node is expanded. Giving x to
+    a vertex u clears at most need + GAIN[x] * |N(u) & short| of the
+    deficit, and `short` only shrinks as the search goes deeper, so with k
+    the largest |N(u) & short| over the unassigned u the rest weighs at
+    least the deficit over the best clearing rate: a counting bound,
+    nonzero at the root (gamma_dR >= 3n/(Delta+1) for Delta >= 2, gamma_R >=
+    2n/(Delta+1)). rest[i] tabulates it with k replaced by the largest
+    degree in order[i:], at the cost of one lookup. A node that survives
+    that and `floor * dead` is priced again with k itself when even k = 0
+    would prune it, scanning the unassigned vertices until one has more
+    short neighbors than the largest k that still prunes.
+
+    A value above `floor` is not tried on a vertex none of whose neighbors
+    lacks more credit than `floor` gives (no short neighbor for Roman, no
+    bare one for double Roman): `floor` there leaves every neighbor as well
+    off as it needs to be, at less weight, so no minimum labeling is lost.
     """
     n = len(adj)
     vals = [-1] * n
     credit = [0] * n
-    floor = min(x for x in value_order if x)  # the price of a dead vertex
+    floor = min(filter(None, value_order))  # the price of a dead vertex
+    lift = GAIN[floor]  # the credit `floor` gives
     last = [-1] * n  # last[v]: the depth at which v's last neighbor is assigned
+    nbmask = [0] * n  # nbmask[v]: the bit mask of N(v)
     for i, w in enumerate(order):
+        m = 0
         for u in adj[w]:
             last[u] = i
+            m |= 1 << u
+        nbmask[w] = m
     closes: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         if last[v] >= 0:
@@ -207,6 +242,10 @@ def _labelings(
             table = _rest_table(per, clears, deficit)
         rest.append(table)
     rest.reverse()
+    # shorts[i], bares[i]: short and bare while order[:i] is assigned; at the
+    # root every vertex is short, and bare too when need is 2
+    shorts = [(1 << n) - 1] * n
+    bares = shorts.copy() if need == 2 else [0] * n
     k = len(value_order)
     nxt = [0] * n  # nxt[i]: where order[i] resumes in value_order
     best = bound[0]
@@ -220,23 +259,21 @@ def _labelings(
         nbrs = adj[w]
         cl = closes[depth]
         shut_w = shut[depth] and credit[w] < need
-        own = need - credit[w] if credit[w] < need else 0
         x = vals[w]
+        short = shorts[depth]
+        bare = bares[depth]
+        nb = nbmask[w]
+        wb = 1 << w
         while True:
             if x >= 0:  # take x back, in reverse
                 wgt -= x
                 for u in cl:
                     if vals[u] < 0 and credit[u] < need:
                         dead -= 1
-                if x:
-                    g = GAIN[x]
-                    if g:
-                        for u in nbrs:
-                            c = credit[u] - g
-                            credit[u] = c
-                            if c < need and vals[u] <= 0:
-                                deficit += g if g < need - c else need - c
-                    deficit += own
+                g = GAIN[x]
+                if g:
+                    for u in nbrs:
+                        credit[u] -= g
                 if shut_w:
                     dead += 1
             if i == k:
@@ -244,7 +281,8 @@ def _labelings(
                 break
             x = value_order[i]
             i += 1
-            if wgt + x >= best:
+            if wgt + x >= best or x > floor and not nb & (bare if lift else short):
+                # too heavy, or `floor` weighs less and does as much
                 x = -1
                 continue
             # assign x to w: credit its neighbors, then close what w was last to reach
@@ -254,15 +292,10 @@ def _labelings(
             if shut_w:
                 dead -= 1
                 ok = x != 0
-            if x:
-                deficit -= own
-                g = GAIN[x]
-                if g:
-                    for u in nbrs:
-                        c = credit[u]
-                        credit[u] = c + g
-                        if c < need and vals[u] <= 0:
-                            deficit -= g if g < need - c else need - c
+            g = GAIN[x]
+            if g:
+                for u in nbrs:
+                    credit[u] += g
             for u in cl:
                 if credit[u] < need:
                     if vals[u] < 0:
@@ -279,8 +312,44 @@ def _labelings(
                         bound[1] = nodes
                         yield vals.copy()
                         best = bound[0]
-                elif wgt + floor * dead < best and wgt + rest[depth + 1][deficit] < best:
-                    break  # expand it
+                    continue
+                if wgt + floor * dead >= best:
+                    continue
+                # a nonzero w is no longer short, and nor are the neighbors
+                # it gives the credit they lacked (a bare one lacked 2)
+                sh, ba = short, bare
+                if g:
+                    sh &= ~(nb & ~ba | wb) if g < need else ~(nb | wb)
+                    ba &= ~(nb | wb)
+                elif x:
+                    sh &= ~wb
+                    ba &= ~wb
+                deficit = sh.bit_count() + ba.bit_count()
+                if wgt + rest[depth + 1][deficit] >= best:
+                    continue
+                # with k for the largest degree the deficit bound did not
+                # prune; with k itself it prunes when k <= t, where t is the
+                # largest k with deficit * y > (slack - 1) * (need + GAIN[y] * k)
+                # for every crediting value y. At k = 0 the cheapest value
+                # clears the most per unit, and a value that credits nothing
+                # (a Roman 1) can only be that one.
+                s1 = best - wgt - 1
+                if deficit * floor > s1 * need:  # k = 0 prunes
+                    t = n
+                    for y in value_order:
+                        gy = GAIN[y]
+                        if gy:
+                            c = (deficit * y - s1 * need - 1) // (s1 * gy)
+                            if c < t:
+                                t = c
+                    for u in order[depth + 1:]:
+                        if (nbmask[u] & sh).bit_count() > t:
+                            break  # expand it
+                    else:
+                        continue  # pruned
+                shorts[depth + 1] = sh
+                bares[depth + 1] = ba
+                break  # expand it
         if x >= 0:
             nxt[depth] = i
             depth += 1
