@@ -290,19 +290,15 @@ _SKIPPED = 1  # disconnected while connected_only is set
 _MISSED = 2  # scanned, and the pair did not occur
 
 
-def _transposition_tables(
-    n: int, pairs: list[tuple[int, int]], split: int
-) -> list[tuple[list[int], list[int]]]:
-    """For each adjacent transposition (i, i+1) of the vertices, two lookup
-    tables mapping the low ``split`` bits and the remaining high bits of an
-    edge mask to their images; OR-ing the two lookups relabels the mask."""
+def _generator_tables(n: int, pairs: list[tuple[int, int]], split: int) -> list[tuple]:
+    """Lookup tables for the transposition (0 1) and the cycle (0 1 ... n-1),
+    which generate the symmetric group: per generator, the images of the low
+    ``split`` bits and of the remaining high bits of an edge mask, whose OR
+    relabels the mask. For n = 2 both are the swap; n = 1 has no pairs."""
     index = {pair: k for k, pair in enumerate(pairs)}
     tables = []
-    for i in range(n - 1):
-        swap = {i: i + 1, i + 1: i}
-        image = [
-            1 << index[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs
-        ]
+    for perm in ({0: 1, 1: 0}, {i: (i + 1) % n for i in range(n)}):
+        image = [1 << index[tuple(sorted((perm.get(u, u), perm.get(v, v))))] for u, v in pairs]
         halves = []
         for shift, width in ((0, split), (split, len(pairs) - split)):
             table = [0] * (1 << width)
@@ -310,45 +306,45 @@ def _transposition_tables(
                 low = value & -value
                 table[value] = table[value ^ low] | image[shift + low.bit_length() - 1]
             halves.append(table)
-        tables.append((halves[0], halves[1]))
+        tables.append(tuple(halves))
     return tables
 
 
-def _mark_class(
-    verdicts: bytearray,
-    mask: int,
-    verdict: int,
-    tables: list[tuple[list[int], list[int]]],
-    split: int,
-) -> None:
-    """Store verdict on every mask isomorphic to mask. Adjacent
-    transpositions generate the symmetric group, so a walk along them
-    reaches the whole class, each mask once."""
+def _mark_class(verdicts: bytearray, mask: int, verdict: int, tables: list, split: int) -> None:
+    """Store verdict on every mask isomorphic to mask, each mask once.
+
+    Every vertex permutation is a product of the two generators (in a finite
+    group an inverse is a power), so a walk that takes both images of each
+    mask, two lookups, reaches the whole class."""
+    (swap_low, swap_high), (cycle_low, cycle_high) = tables
     low_bits = (1 << split) - 1
     verdicts[mask] = verdict
     stack = [mask]
     while stack:
         m = stack.pop()
         low, high = m & low_bits, m >> split
-        for low_table, high_table in tables:
-            image = low_table[low] | high_table[high]
-            if not verdicts[image]:
-                verdicts[image] = verdict
-                stack.append(image)
+        image = swap_low[low] | swap_high[high]
+        if not verdicts[image]:
+            verdicts[image] = verdict
+            stack.append(image)
+        image = cycle_low[low] | cycle_high[high]
+        if not verdicts[image]:
+            verdicts[image] = verdict
+            stack.append(image)
 
 
 def _scan_order(n: int, a: int, b: int, connected_only: bool) -> tuple[int, Graph | None]:
     """Scan the labeled graphs on n vertices in ascending edge-mask order:
     graphs scanned up to and including the first hit, and the hit.
 
-    Only the first mask of each isomorphism class is built and solved; its
-    verdict is then stored on the whole class, so later masks of the class
-    cost a byte each. The first hit in mask order is the first mask of the
-    first class that hits, which is one that gets solved.
+    Only the first mask of each isomorphism class is built and solved; a
+    walk along two generators of S_n stores its verdict on the whole class,
+    so later masks of the class cost a byte each. The first hit in mask
+    order is the first mask of the first class that hits, which gets solved.
     """
     pairs = edge_positions(n)
     split = (len(pairs) + 1) // 2
-    tables = _transposition_tables(n, pairs, split)
+    tables = _generator_tables(n, pairs, split)
     verdicts = bytearray(1 << len(pairs))
     mask = 0
     while mask != -1:

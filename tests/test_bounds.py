@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import drd.bounds
@@ -204,6 +206,57 @@ def test_pair_scan_solves_each_class_once(monkeypatch):
     r = scan_pair_realizability(2, 4, n_max=6)
     assert r.found is None and r.graphs_scanned == 27476
     assert len(calls) == 143  # connected graphs on 1..6 vertices up to isomorphism
+
+
+def test_pair_scan_solves_each_class_once_at_n7(monkeypatch):
+    # the README's example scan; the walk marks all 2^21 masks of n = 7
+    calls = []
+    monkeypatch.setattr(
+        drd.bounds, "solve_roman", lambda g: calls.append(g) or solve_roman(g)
+    )
+    r = scan_pair_realizability(4, 5, n_max=7)
+    assert r.found is None and r.graphs_scanned == 1_893_732
+    # 143 connected classes on 1..6 vertices, 853 on 7 (OEIS A001349)
+    assert len(calls) == 143 + 853
+
+
+def _orbit(n: int, mask: int, pairs: list[tuple[int, int]]) -> set[int]:
+    """Images of mask under all n! vertex permutations, built directly."""
+    edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    return {
+        sum(1 << index[tuple(sorted((p[u], p[v])))] for u, v in edges)
+        for p in itertools.permutations(range(n))
+    }
+
+
+class _StoreOnce(bytearray):
+    """Verdict bytes that fail on a second store to the same mask."""
+
+    def __setitem__(self, key, value):
+        assert self[key] == 0, f"mask {key} stored twice"
+        super().__setitem__(key, value)
+
+
+def test_mark_class_walks_each_orbit_once():
+    classes = []
+    for n in range(1, 6):
+        pairs = edge_positions(n)
+        split = (len(pairs) + 1) // 2
+        tables = drd.bounds._generator_tables(n, pairs, split)
+        if n <= 2:  # the cycle is then the swap itself, and n = 1 has no pairs
+            assert tables[0] == tables[1]
+        verdicts = _StoreOnce(1 << len(pairs))
+        mask = 0
+        while mask != -1:
+            before = bytes(verdicts)
+            drd.bounds._mark_class(verdicts, mask, drd.bounds._MISSED, tables, split)
+            marked = {m for m in range(len(verdicts)) if verdicts[m] != before[m]}
+            assert marked == _orbit(n, mask, pairs), (n, mask)
+            classes.append(n)
+            mask = verdicts.find(0, mask + 1)
+        assert all(verdicts)
+    assert [classes.count(n) for n in range(1, 6)] == [1, 2, 4, 11, 34]
 
 
 def test_pair_scan_class_representatives(monkeypatch):
