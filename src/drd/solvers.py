@@ -159,6 +159,20 @@ def _dp_order(adj: tuple[tuple[int, ...], ...], need: int) -> list[int] | None:
 
 
 @functools.lru_cache(maxsize=256)
+def _clearing_rate(value_order: tuple[int, ...], need: int, top: int) -> tuple[int, int]:
+    """(x, c) for the value x that clears the most deficit per unit weight
+    when no vertex has more than `top` short neighbors: up to c for weight x.
+
+    Cached: the key holds no graph size, so searches of every size share it."""
+    per, clears = 1, 0
+    for x in value_order:
+        c = need + GAIN[x] * top
+        if x and c * per > clears * x:
+            per, clears = x, c
+    return per, clears
+
+
+@functools.lru_cache(maxsize=256)
 def _rest_table(per: int, clears: int, deficit: int) -> list[int]:
     """The least weight that clears d <= deficit at `clears` per `per` weight.
 
@@ -182,27 +196,31 @@ def _labelings(
     With values ascending and bound[0] = opt + 1, the first labeling yielded
     is the lexicographically least optimum.
 
-    credit[v] is the credit v has from its assigned neighbors. Vertices are
-    assigned in `order`, so once order[i] is assigned every vertex in
-    closes[i] has no unassigned neighbor left and its credit is final: a 0
-    there with too little credit is irreparable, and an unassigned vertex
-    there is dead, it must take a nonzero value, at least the least nonzero
-    value of the alphabet (`floor`). `dead` counts the dead vertices.
+    A node's state is four bit masks, stored per depth when it is expanded,
+    so backing up only takes the weight back. `short` holds the unassigned
+    and 0-valued vertices with less credit from assigned neighbors than
+    need, `bare` those of them with none (need 2 only), `done` the assigned
+    vertices and `shut` the closed ones, with no unassigned neighbor left
+    (isolated vertices from the start). Vertices are assigned in `order`, so
+    the vertices order[i] closes are always the same; they are found on the
+    first descent to depth i and kept. A closed vertex's credit is final: an
+    assignment that leaves a closed 0 short is not a node, and a closed
+    unassigned vertex still short is dead, it must take a nonzero value, at
+    least the least one of the alphabet (`floor`).
 
-    The bit mask `short` holds the unassigned and 0-valued vertices still
-    short of need (1 or 2), and `bare` those of them with no credit at all,
-    so they lack deficit = |short| + |bare| in total; a complete labeling
-    lacks none. Both are set per depth when a node is expanded. Giving x to
-    a vertex u clears at most need + GAIN[x] * |N(u) & short| of the
-    deficit, and `short` only shrinks as the search goes deeper, so with k
-    the largest |N(u) & short| over the unassigned u the rest weighs at
-    least the deficit over the best clearing rate: a counting bound,
-    nonzero at the root (gamma_dR >= 3n/(Delta+1) for Delta >= 2, gamma_R >=
-    2n/(Delta+1)). rest[i] tabulates it with k replaced by the largest
-    degree in order[i:], at the cost of one lookup. A node that survives
-    that and `floor * dead` is priced again with k itself when even k = 0
-    would prune it, scanning the unassigned vertices until one has more
-    short neighbors than the largest k that still prunes.
+    The short and bare vertices lack deficit = |short| + |bare| in total; a
+    complete labeling lacks none. Giving x to a vertex u clears at most
+    need + GAIN[x] * |N(u) & short| of the deficit, and `short` only shrinks
+    as the search goes deeper, so with k the largest |N(u) & short| over the
+    unassigned u the rest weighs at least the deficit over the best clearing
+    rate: a counting bound, nonzero at the root (gamma_dR >= 3n/(Delta+1) for
+    Delta >= 2, gamma_R >= 2n/(Delta+1)). rest[i] tabulates it with k
+    replaced by the largest degree in order[i:], at the cost of one lookup.
+    A node that survives that and `floor` per dead vertex is priced again
+    with k itself when even k = 0 would prune it, scanning the unassigned
+    vertices until one has more short neighbors than the largest k that
+    still prunes. The root is priced before any mask is built, so a search
+    that ends there costs O(n).
 
     A value above `floor` is not tried on a vertex none of whose neighbors
     lacks more credit than `floor` gives (no short neighbor for Roman, no
@@ -210,157 +228,126 @@ def _labelings(
     off as it needs to be, at less weight, so no minimum labeling is lost.
     """
     n = len(adj)
-    vals = [-1] * n
-    credit = [0] * n
+    degree = [len(a) for a in adj]
     floor = min(filter(None, value_order))  # the price of a dead vertex
-    lift = GAIN[floor]  # the credit `floor` gives
-    last = [-1] * n  # last[v]: the depth at which v's last neighbor is assigned
-    nbmask = [0] * n  # nbmask[v]: the bit mask of N(v)
-    for i, w in enumerate(order):
-        m = 0
-        for u in adj[w]:
-            last[u] = i
-            m |= 1 << u
-        nbmask[w] = m
-    closes: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if last[v] >= 0:
-            closes[last[v]].append(v)
-    shut = [last[w] < i for i, w in enumerate(order)]  # no unassigned neighbor left
-    dead = last.count(-1)  # isolated vertices
     deficit = need * n
+    best = bound[0]
+    bound[1] = nodes = 1  # the root
+    dead = degree.count(0)  # isolated vertices
+    per, clears = _clearing_rate(value_order, need, max(degree))
+    if floor * dead >= best or -(-deficit * per // clears) >= best:  # rest[0][deficit]
+        return
+    lift = GAIN[floor]  # the credit `floor` gives
+    nbmask = []  # nbmask[v]: the bit mask of N(v)
+    for a in adj:
+        m = 0
+        for u in a:
+            m |= 1 << u
+        nbmask.append(m)
     rest = []  # rest[i][d]: the least weight with which order[i:] clears a deficit d
-    top = 0
+    top = -1
     for w in reversed(order):
-        if len(adj[w]) > top or not rest:
-            top = len(adj[w])
-            per, clears = 1, 0  # the value x clearing the most per unit: clears / per
-            for x in value_order:
-                c = need + GAIN[x] * top
-                if x and c * per > clears * x:
-                    per, clears = x, c
+        if degree[w] > top:
+            top = degree[w]
+            per, clears = _clearing_rate(value_order, need, top)
             table = _rest_table(per, clears, deficit)
         rest.append(table)
     rest.reverse()
-    # shorts[i], bares[i]: short and bare while order[:i] is assigned; at the
-    # root every vertex is short, and bare too when need is 2
-    shorts = [(1 << n) - 1] * n
-    bares = shorts.copy() if need == 2 else [0] * n
+    # masks[i]: short, bare, done and shut while order[:i] is assigned; at
+    # the root every vertex is short, and bare too when need is 2
+    every = (1 << n) - 1
+    iso = sum(1 << v for v, d in enumerate(degree) if not d) if dead else 0
+    masks = [(every, every if need == 2 else 0, 0, iso)] * n
+    closing = [-1] * n  # closing[i]: the vertices order[i] closes, once known
     k = len(value_order)
     nxt = [0] * n  # nxt[i]: where order[i] resumes in value_order
-    best = bound[0]
-    bound[1] = nodes = 1  # the root
-    if floor * dead >= best or rest[0][deficit] >= best:
-        return
+    vals = [0] * n
     depth = i = wgt = 0  # order[:depth] is assigned and weighs wgt
     while True:
-        # order[depth] takes back its value, if any, and tries value_order[i:]
+        # order[depth] tries value_order[i:]
         w = order[depth]
-        nbrs = adj[w]
-        cl = closes[depth]
-        shut_w = shut[depth] and credit[w] < need
-        x = vals[w]
-        short = shorts[depth]
-        bare = bares[depth]
+        short, bare, done, shut = masks[depth]
         nb = nbmask[w]
         wb = 1 << w
-        while True:
-            if x >= 0:  # take x back, in reverse
-                wgt -= x
-                for u in cl:
-                    if vals[u] < 0 and credit[u] < need:
-                        dead -= 1
-                g = GAIN[x]
-                if g:
-                    for u in nbrs:
-                        credit[u] -= g
-                if shut_w:
-                    dead += 1
-            if i == k:
-                x = -1
-                break
+        done |= wb
+        cm = closing[depth]
+        if cm < 0:  # first descent here: the neighbors w is the last to reach
+            cm = 0
+            for u in adj[w]:
+                if not nbmask[u] & ~done:
+                    cm |= 1 << u
+            closing[depth] = cm
+        shut |= cm
+        while i < k:
             x = value_order[i]
             i += 1
-            if wgt + x >= best or x > floor and not nb & (bare if lift else short):
-                # too heavy, or `floor` weighs less and does as much
-                x = -1
-                continue
-            # assign x to w: credit its neighbors, then close what w was last to reach
-            vals[w] = x
-            wgt += x
-            ok = True
-            if shut_w:
-                dead -= 1
-                ok = x != 0
+            c = wgt + x
+            if c >= best or x > floor and not nb & (bare if lift else short):
+                continue  # too heavy, or `floor` weighs less and does as much
+            # a nonzero w is no longer short, and nor are the neighbors it
+            # gives the credit they lacked (a bare one lacked 2)
+            sh, ba = short, bare
             g = GAIN[x]
             if g:
-                for u in nbrs:
-                    credit[u] += g
-            for u in cl:
-                if credit[u] < need:
-                    if vals[u] < 0:
-                        dead += 1
-                    elif not vals[u]:
-                        ok = False
-            if ok:  # a node: order[:depth + 1] is assigned
-                nodes += 1
-                if nodes == DP_CHECKPOINT:
+                sh &= ~(nb & ~ba | wb) if g < need else ~(nb | wb)
+                ba &= ~(nb | wb)
+            elif x:
+                sh &= ~wb
+                ba &= ~wb
+            lost = shut & sh  # closed and short: dead, or a 0 that stays short
+            if lost & done:
+                continue  # not a node
+            nodes += 1  # a node: order[:depth + 1] is assigned
+            if nodes == DP_CHECKPOINT:
+                bound[1] = nodes
+                yield None
+            if depth + 1 == n:
+                if c < best:
+                    vals[w] = x
                     bound[1] = nodes
-                    yield None
-                if depth + 1 == n:
-                    if wgt < best:
-                        bound[1] = nodes
-                        yield vals.copy()
-                        best = bound[0]
-                    continue
-                if wgt + floor * dead >= best:
-                    continue
-                # a nonzero w is no longer short, and nor are the neighbors
-                # it gives the credit they lacked (a bare one lacked 2)
-                sh, ba = short, bare
-                if g:
-                    sh &= ~(nb & ~ba | wb) if g < need else ~(nb | wb)
-                    ba &= ~(nb | wb)
-                elif x:
-                    sh &= ~wb
-                    ba &= ~wb
-                deficit = sh.bit_count() + ba.bit_count()
-                if wgt + rest[depth + 1][deficit] >= best:
-                    continue
-                # with k for the largest degree the deficit bound did not
-                # prune; with k itself it prunes when k <= t, where t is the
-                # largest k with deficit * y > (slack - 1) * (need + GAIN[y] * k)
-                # for every crediting value y. At k = 0 the cheapest value
-                # clears the most per unit, and a value that credits nothing
-                # (a Roman 1) can only be that one.
-                s1 = best - wgt - 1
-                if deficit * floor > s1 * need:  # k = 0 prunes
-                    t = n
-                    for y in value_order:
-                        gy = GAIN[y]
-                        if gy:
-                            c = (deficit * y - s1 * need - 1) // (s1 * gy)
-                            if c < t:
-                                t = c
-                    for u in order[depth + 1:]:
-                        if (nbmask[u] & sh).bit_count() > t:
-                            break  # expand it
-                    else:
-                        continue  # pruned
-                shorts[depth + 1] = sh
-                bares[depth + 1] = ba
-                break  # expand it
-        if x >= 0:
-            nxt[depth] = i
-            depth += 1
-            i = 0
+                    yield vals.copy()
+                    best = bound[0]
+                continue
+            if lost and c + floor * lost.bit_count() >= best:  # all dead now, `floor` each
+                continue
+            deficit = sh.bit_count() + ba.bit_count()
+            if c + rest[depth + 1][deficit] >= best:
+                continue
+            # with k for the largest degree the deficit bound did not prune;
+            # with k itself it prunes when k <= t, where t is the largest k
+            # with deficit * y > (slack - 1) * (need + GAIN[y] * k) for every
+            # crediting value y. At k = 0 the cheapest value clears the most
+            # per unit, and a value that credits nothing (a Roman 1) can only
+            # be that one.
+            s1 = best - c - 1
+            if deficit * floor > s1 * need:  # k = 0 prunes
+                t = n
+                for y in value_order:
+                    gy = GAIN[y]
+                    if gy:
+                        q = (deficit * y - s1 * need - 1) // (s1 * gy)
+                        if q < t:
+                            t = q
+                for u in order[depth + 1:]:
+                    if (nbmask[u] & sh).bit_count() > t:
+                        break  # expand it
+                else:
+                    continue  # pruned
+            break  # expand it
         else:  # no value left: back up
-            vals[w] = -1
             if depth == 0:
                 bound[1] = nodes
                 return
             depth -= 1
             i = nxt[depth]
+            wgt -= vals[order[depth]]
+            continue
+        nxt[depth] = i
+        vals[w] = x
+        wgt = c
+        depth += 1
+        i = 0
+        masks[depth] = sh, ba, done, shut
 
 
 def _sorted_adj(g: Graph) -> tuple[tuple[int, ...], ...]:

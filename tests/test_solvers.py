@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 import drd.bounds
+import drd.frontier
+import drd.solvers
 from drd.errors import InvalidArgumentsError, ResourceLimitError
 from drd.formulas import gamma_dr_corona_k1, gamma_dr_cycle, gamma_dr_grid2
 from drd.frontier import frontier_dp, frontier_order
@@ -409,6 +412,58 @@ def test_route_choice(monkeypatch):
         for solver in (solve_roman, solve_double_roman):
             r = solver(g)
             assert r.method == "branch_and_bound" and r.nodes_explored < DP_CHECKPOINT
+
+
+def test_pruning_pins_on_sparse_graphs(monkeypatch):
+    # B&B nodes of the main pass and of the canonical pass over a seeded
+    # sparse corpus, with the DP hand-over off: each pruning test, and the
+    # order the search makes them in, shows in these totals
+    monkeypatch.setattr(drd.solvers, "DP_CHECKPOINT", 10**9)
+    rng = random.Random(13)
+    corpus = []
+    for _ in range(30):
+        n, p = rng.randint(8, 16), rng.uniform(0.1, 0.3)
+        corpus.append(Graph.from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        ))
+    pins = {"domination": (3514, 773), "roman": (3343, 3723), "double_roman": (14475, 5274)}
+    for name, solver in SOLVERS.items():
+        main = extra = 0
+        for g in corpus:
+            plain, r = solver(g), solver(g, canonical=True)
+            assert plain.method == r.method == "branch_and_bound"
+            main += plain.nodes_explored
+            extra += r.nodes_explored - plain.nodes_explored
+            if g.n <= 12:
+                assert r.witness == brute_force(g, name).witness, (name, g.edges())
+        assert (main, extra) == pins[name], name
+
+
+def test_root_test_comes_before_the_masks(monkeypatch):
+    # gamma_R of a perfect matching on 20,000 vertices closes at the root, so
+    # its search builds no n-bit mask: its traced peak was 35.6 MB when the
+    # masks came first, about 25 MB of it theirs. gamma_dR searches 500 nodes
+    # and goes to the DP, and stays within the 42.8 MB it took then. The DP
+    # takes seconds here, so its known answer (3 on each odd vertex) stands
+    # in for it; its own peak is under 4 MB
+    n = 20_000
+    g = Graph.from_edges(n, [(v, v + 1) for v in range(0, n, 2)])
+    monkeypatch.setattr(
+        drd.frontier, "frontier_dp",
+        lambda adj, order, values, need: (3 * n // 2, [3 * (v % 2) for v in range(n)], 0),
+    )
+    for solver, expect, limit in (
+        (solve_roman, (n, "branch_and_bound", 1), 8e6),
+        (solve_double_roman, (3 * n // 2, "frontier_dp", DP_CHECKPOINT), 42.8e6),
+    ):
+        tracemalloc.start()
+        try:
+            r = solver(g, max_n=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (r.value, r.method, r.nodes_explored) == expect
+        assert peak <= limit, (solver.__name__, peak)
 
 
 def test_sparse_graphs_match_oracle():
