@@ -74,69 +74,101 @@ def frontier_dp(
 
     Vertices are placed in `order` and forgotten once their last neighbor
     is placed. The table maps the states of the frontier vertices to the
-    least key (weight, code) of a labeling of the placed vertices, each
-    taking one of `values`, that reaches them; code = sum of x * 4^(n-1-v)
-    over the placed vertices v. Labelings that reach the same state have the
-    same completions at the same cost, so the least final key is the least
-    weight and, among its labelings, the least in index order, whatever
-    `order` is. A state s < need is a 0 holding credit s; `need` is a
-    satisfied vertex that gives nothing (a covered 0, or a 1); need + g is a
-    vertex giving credit g (a 2 or, with need = 2, a 3). So double Roman
-    (need 2, values {0,2,3}) has 5 states per vertex, and Roman (need 1,
-    values {0,1,2}) and domination (need 1, values {0,2}) have 3. A vertex
-    is forgotten only when satisfied.
+    least key of a labeling of the placed vertices, each taking one of
+    `values`, that reaches them. The key is one int, weight << 2n | code,
+    with code = sum of x * 4^(n-1-v) over the placed vertices v; code < 4^n,
+    so keys order as the pairs (weight, code). Labelings that reach the same
+    state have the same completions at the same cost, so the least final key
+    is the least weight and, among its labelings, the least in index order,
+    whatever `order` is. A vertex is forgotten only when satisfied.
+
+    A state is one int too, with a 4-bit field per frontier vertex at a
+    slot it takes when placed and frees when forgotten (a free field reads 0
+    in every state). The low `need` bits hold the credit a 0 has, in unary
+    (1 and 3 for credit 1 and 2), and are all set on a satisfied vertex;
+    bits 2 and 3 hold the credit a vertex gives, in unary (4 for a 2, 12 for
+    a 3). So each transition is a few int operations, with masks set up
+    once per step: v's credit as a 0 is the number of giving bits among its
+    placed neighbors' fields, a value giving g ORs their credit bits up by g
+    (and shifts their unary count up one when g < need), and the fields of
+    the vertices forgotten at this step must have their top credit bit set
+    before they are cleared. Double Roman (need 2, values {0,2,3}) has 5
+    states per vertex, and Roman (need 1, values {0,1,2}) and domination
+    (need 1, values {0,2}) have 3.
     """
     n = len(adj)
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
     last = [max([pos[v]] + [pos[u] for u in adj[v]]) for v in range(n)]
-    gives = [max(s - need, 0) for s in range(need + 3)]
-    # bump[g][s]: state s after gaining credit g from a newly placed neighbor
-    bump = [[min(s + g, need) if s < need else s for s in range(need + 3)] for g in range(3)]
-
-    table: dict[tuple[int, ...], tuple[int, int]] = {(): (0, 0)}
-    frontier: list[int] = []
+    full = (1 << need) - 1  # the credit bits of a satisfied vertex
+    top = 1 << need - 1  # the credit bit a vertex must have to be forgotten
+    wshift = 2 * n
+    cap = (max(values) * n + 1) << wshift  # above every key
+    slot = [0] * n  # slot[v]: the bit offset of v's field while v is in the frontier
+    free: list[int] = []  # offsets of freed fields
+    # credits[f][c]: the field at offset 4f of a 0 with c credit from its neighbors
+    counts = range(2 * max(map(len, adj), default=0) + 1)
+    credits: list[list[int]] = []
+    zero = 0 in values
+    table = {0: 0}
     entries = 1
     for i, v in enumerate(order):
-        nbrs = set(adj[v])
-        nb = [j for j, u in enumerate(frontier) if u in nbrs]
-        frontier.append(v)
-        keep = [j for j, u in enumerate(frontier) if last[u] > i]
-        drop = [j for j, u in enumerate(frontier) if last[u] == i]
-        frontier = [frontier[j] for j in keep]
-        shift = 2 * (n - 1 - v)
-        # per value: its weight, its code, v's state under it (None: the
-        # credit v holds) and how it moves its placed neighbors' states
-        options = [
-            (x, x << shift, need + GAIN[x] if x else None, bump[GAIN[x]] if GAIN[x] else None)
-            for x in values
-        ]
-        new: dict[tuple[int, ...], tuple[int, int]] = {}
+        if free:
+            at = free.pop()
+        else:
+            at = 4 * len(credits)
+            credits.append([(1 << min(c, need)) - 1 << at for c in counts])
+        slot[v] = at
+        credit = credits[at >> 2]
+        ones = 0  # bit 0 of each placed neighbor's field
+        out = 0  # bit 0 of each field forgotten at this step
+        if last[v] == i:
+            out = 1 << at
+        for u in adj[v]:
+            if pos[u] < i:
+                b = 1 << slot[u]
+                ones |= b
+                if last[u] == i:
+                    out |= b
+        drop, keep = out * top, ~(out * 15)
+        gives = ones * 12  # bits 2 and 3 of the neighbors' fields
+        # per nonzero value: its key increment, the bits it sets (v's field and
+        # the credit it gives its neighbors) and the neighbors' bits it shifts
+        # up one (a 2 under need 2, which moves a unary credit count up by one)
+        options = []
+        for x in values:
+            if x:
+                g = GAIN[x]
+                sets = (full | ((1 << g) - 1) << 2) << at
+                if g:
+                    sets |= ones * full if g >= need else ones
+                lift = ones if 0 < g < need else 0
+                options.append(((x << wshift) + (x << 2 * (n - 1 - v)), sets, lift))
+        new: dict[int, int] = {}
         get = new.get
-        for state, (wgt, code) in table.items():
-            credit = 0
-            for j in nb:
-                credit += gives[state[j]]
-            if credit > need:
-                credit = need
-            for x, xcode, own, up in options:
-                full = list(state)
-                if own is None:
-                    full.append(credit)
-                else:
-                    full.append(own)
-                    if up is not None:
-                        for j in nb:
-                            full[j] = up[full[j]]
-                for j in drop:
-                    if full[j] < need:
-                        break
-                else:
-                    k = tuple([full[j] for j in keep])
-                    key = (wgt + x, code + xcode)
-                    old = get(k)
-                    if old is None or key < old:
-                        new[k] = key
+        for state, key in table.items():
+            if zero:
+                t = state | credit[(state & gives).bit_count()]
+                if t & drop == drop:
+                    t &= keep
+                    if key < get(t, cap):
+                        new[t] = key
+            for inc, sets, lift in options:
+                t = state | sets
+                if lift:
+                    t |= (state & lift) << 1
+                if t & drop == drop:
+                    t &= keep
+                    k = key + inc
+                    if k < get(t, cap):
+                        new[t] = k
         table = new
         entries += len(new)
-    best_w, code = table[()]
-    return best_w, [code >> 2 * (n - 1 - v) & 3 for v in range(n)], entries
+        while out:
+            b = out & -out
+            free.append(b.bit_length() - 1)
+            out ^= b
+    key = table[0]
+    code = key & (1 << wshift) - 1
+    return key >> wshift, [code >> 2 * (n - 1 - v) & 3 for v in range(n)], entries

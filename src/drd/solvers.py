@@ -136,12 +136,17 @@ GAIN = (0, 0, 1, 2)
 # pass included), and hands over to the frontier DP when a step's table holds
 # at most DP_MAX_STATES entries. A frontier vertex has 2 * need + 1 states, so
 # the DP takes widths <= 5 for domination and Roman (3^5 = 243) and <= 4 for
-# double Roman (5^4 = 625). Timed at 150, 300, 500 and 1000: a higher value
-# hands fewer random graphs to a DP that can cost more than the search it
-# replaces, a lower one hands the paper's families over sooner. 500 came
-# within 3% of the best on seeded random graphs and 11% on the families,
-# where 1000 took 15% longer than 500.
-DP_CHECKPOINT = 500
+# double Roman (5^4 = 625). A higher value hands fewer random graphs to a DP
+# that can cost more than the search it replaces, a lower one hands the
+# paper's families over sooner. Timed per command (best of 9 for the
+# families, 5 otherwise) over the benchmark's seed-1 lists on a 2-core Xeon
+# under Python 3.11, at 150, 200, 250, 300 and 500: a families pass took
+# 15.1-15.7, 15.9-16.6, 17.1-17.2, 17.5-18.2 and 20.4-20.7 ms, a
+# random-graphs pass 220.5, 219.0, 216.5, 217.1 and 216.9 ms, and a pair-scan
+# pass 33.6-34.4 ms at all five. 250 is the lowest value that slows no
+# workload, and it leaves the searches that P19 and C20 finish below 250
+# nodes (P19's gamma_dR takes 244) on branch and bound.
+DP_CHECKPOINT = 250
 DP_MAX_STATES = 5**4
 
 

@@ -380,6 +380,15 @@ def test_console_script_end_to_end():
     assert r.returncode == 1
 
 
+def test_cli_import_leaves_the_frontier_dp_unloaded():
+    # drd.frontier is loaded only when a solve hands over to the DP, so a
+    # process that never does (a pair scan, say) does not pay to import it
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys, drd.cli; print('drd.frontier' in sys.modules)"],
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+
+
 def test_stdin_edge_list():
     r = subprocess.run([sys.executable, "-m", "drd.cli", "compute", "--edge-list", "-",
                         "--invariant", "gdr", "--format", "json"],

@@ -240,6 +240,51 @@ def test_frontier_dp_matches_oracle_on_atlas():
             _dp_check(Graph.from_edges(atlas.number_of_nodes(), atlas.edges()))
 
 
+def test_frontier_dp_table_sizes(monkeypatch):
+    # the total entries along frontier_order pin the DP's tables: every state
+    # it keeps, on the atlas and on sparse graphs past the oracle's reach
+    nx = pytest.importorskip("networkx")
+    atlas = [
+        Graph.from_edges(a.number_of_nodes(), a.edges())
+        for a in nx.graph_atlas_g() if 1 <= a.number_of_nodes() <= 7
+    ]
+    rng = random.Random(15)
+    sparse = []
+    while len(sparse) < 24:
+        n, p = rng.randint(13, 22), rng.uniform(0.08, 0.25)
+        g = Graph.from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        )
+        if frontier_order(_sorted_adj(g))[0] <= 4:
+            sparse.append(g)
+    alphabets = {
+        # need, values, and the solver's witness for the DP's values
+        "domination": (1, (0, 2), lambda vals: frozenset(v for v, x in enumerate(vals) if x)),
+        "roman": (1, (0, 1, 2), lambda vals: RomanLabeling(tuple(vals))),
+        "double_roman": (2, (0, 2, 3), lambda vals: DRLabeling(tuple(vals))),
+    }
+    pins = {
+        "domination": (41358, 2261), "roman": (66993, 3335), "double_roman": (132556, 8653),
+    }
+    # brute force stops at n = 12, so the sparse witnesses are checked
+    # against the branch and bound's canonical pass, with the hand-over off
+    monkeypatch.setattr(drd.solvers, "DP_CHECKPOINT", 10**9)
+    for name, (need, values, witness) in alphabets.items():
+        totals = []
+        for corpus in (atlas, sparse):
+            total = 0
+            for g in corpus:
+                adj = _sorted_adj(g)
+                _, vals, entries = frontier_dp(adj, frontier_order(adj)[1], values, need)
+                total += entries
+                if corpus is sparse:
+                    r = SOLVERS[name](g, canonical=True)
+                    assert r.method == "branch_and_bound"
+                    assert witness(vals) == r.witness, (name, g.edges())
+            totals.append(total)
+        assert tuple(totals) == pins[name], name
+
+
 def test_canonical_domination_matches_oracle_on_atlas():
     nx = pytest.importorskip("networkx")
     for atlas in nx.graph_atlas_g():
@@ -442,10 +487,11 @@ def test_pruning_pins_on_sparse_graphs(monkeypatch):
 def test_root_test_comes_before_the_masks(monkeypatch):
     # gamma_R of a perfect matching on 20,000 vertices closes at the root, so
     # its search builds no n-bit mask: its traced peak was 35.6 MB when the
-    # masks came first, about 25 MB of it theirs. gamma_dR searches 500 nodes
-    # and goes to the DP, and stays within the 42.8 MB it took then. The DP
-    # takes seconds here, so its known answer (3 on each odd vertex) stands
-    # in for it; its own peak is under 4 MB
+    # masks came first, about 25 MB of it theirs. gamma_dR searches up to the
+    # checkpoint and goes to the DP, and stays within the 42.8 MB it took
+    # then. The DP takes about 0.4 s here but 3-6 s under tracemalloc, so its
+    # known answer (3 on each odd vertex) stands in for it; its own traced
+    # peak is 1.3 MB
     n = 20_000
     g = Graph.from_edges(n, [(v, v + 1) for v in range(0, n, 2)])
     monkeypatch.setattr(
