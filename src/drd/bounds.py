@@ -35,8 +35,6 @@ from .solvers import (
     solve_roman,
 )
 
-RELATIONS = ("le", "ge", "lt", "gt", "eq", "between", "strictly_between")
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -55,8 +53,6 @@ def evaluate_relation(relation: str, lhs: int, rhs: int | tuple[int, int]) -> bo
         return lhs <= rhs
     if relation == "ge":
         return lhs >= rhs
-    if relation == "lt":
-        return lhs < rhs
     if relation == "gt":
         return lhs > rhs
     if relation == "eq":

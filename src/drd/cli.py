@@ -26,11 +26,10 @@ from .errors import (
     ResourceLimitError,
     WrongFormulaError,
 )
-from .graph import FamilySpec, Graph, generate, parse_graph, serialize_graph
+from .graph import MAX_GRAPH_N, FamilySpec, Graph, generate, parse_graph, serialize_graph
 from .labeling import (
     DRLabeling,
     RomanLabeling,
-    Verdict,
     is_dominating,
     is_valid_drdf,
     is_valid_rdf,
@@ -120,10 +119,10 @@ def resolve_one_graph(args, parser) -> tuple[Graph, str]:
     return graphs[0]
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
-        ns = list(range(int(lo), int(hi) + 1)) if sep else [int(text)]
+        ns = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         raise InvalidArgumentsError(f"bad range {text!r}") from None
     if not ns:  # lo > hi: an empty check would report a vacuous pass
@@ -255,8 +254,12 @@ def cmd_check_corona(args, parser):
 
 
 def cmd_check_grids(args, parser):
+    ns = _parse_range(args.n)
+    if 2 * ns[-1] > MAX_GRAPH_N:  # grid2(n) has 2n vertices: refuse before solving any
+        raise ResourceLimitError(f"graphs support n <= {MAX_GRAPH_N}, got grid2({ns[-1]})"
+                                 f" with n = {2 * ns[-1]}")
     rows = []
-    for n in _parse_range(args.n):
+    for n in ns:
         try:
             fr = F.gamma_dr_grid2(n)
         except ExcludedCaseError as e:
@@ -303,7 +306,8 @@ def cmd_construct(args, parser):
     text = serialize_graph(g, encoding)
     if not text.endswith("\n"):
         text += "\n"
-    row["graph"] = serialize_graph(g, "graph6")
+    if g.n <= 62:  # graph6's short form; the report schema does not require the field
+        row["graph"] = serialize_graph(g, "graph6")
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)

@@ -103,18 +103,6 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # Parametric families
 
-FAMILY_KINDS = (
-    "path",
-    "cycle",
-    "complete",
-    "complete_bipartite",
-    "star",
-    "grid2",
-    "trivial",
-    "disjoint_union",
-)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Descriptor of a parametric graph family.
@@ -127,11 +115,6 @@ class FamilySpec:
     kind: str
     params: tuple[int, ...] = ()
     parts: tuple["FamilySpec", ...] = ()
-
-    def __str__(self):
-        if self.kind == "disjoint_union":
-            return "+".join(str(p) for p in self.parts)
-        return f"{self.kind}:{','.join(str(p) for p in self.params)}"
 
 
 def _require(cond: bool, message: str):
@@ -262,40 +245,6 @@ def corona(g: Graph, h: Graph) -> Graph:
                 yield i, base + a
 
     return Graph.from_edges(n1 * (1 + n2), edges(), f"corona({_tag(g)},{_tag(h)})")
-
-
-@dataclass(frozen=True)
-class RootedGraph:
-    graph: Graph
-    root: int
-
-    def __post_init__(self):
-        if not 0 <= self.root < self.graph.n:
-            raise InvalidArgumentsError(f"root {self.root} out of range")
-
-
-def rooted_product(g: Graph, hs: Sequence[RootedGraph]) -> Graph:
-    """Glue rooted graph hs[i] onto vertex i of ``g`` by identifying roots.
-
-    Vertex i of ``g`` absorbs the root of hs[i]; the non-root vertices of
-    each hs[i] get fresh indices after g's block, in input order.
-    """
-    if len(hs) != g.n:
-        raise InvalidArgumentsError(f"need {g.n} rooted graphs, got {len(hs)}")
-    edges = list(g.edges())
-    total = g.n
-    for i, rooted in enumerate(hs):
-        h, r = rooted.graph, rooted.root
-        mapping = {}
-        for v in range(h.n):
-            if v == r:
-                mapping[v] = i
-            else:
-                mapping[v] = total
-                total += 1
-        for a, b in h.edges():
-            edges.append((mapping[a], mapping[b]))
-    return Graph.from_edges(total, edges, f"rooted({_tag(g)})")
 
 
 def add_true_twin(g: Graph, u: int) -> Graph:

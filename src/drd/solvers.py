@@ -471,15 +471,7 @@ def solve_double_roman(g: Graph, canonical: bool = False, max_n: int | None = No
 # ---------------------------------------------------------------------------
 # Exhaustive oracles
 
-def _brute_cap(space: str, max_n: int | None) -> int:
-    if max_n is not None:
-        return max_n
-    return BRUTE_MAX_N_FULL if space == "full" else BRUTE_MAX_N_REDUCED
-
-
-def brute_force(
-    g: Graph, invariant: str, space: str = "reduced", max_n: int | None = None
-) -> SolveResult:
+def brute_force(g: Graph, invariant: str, space: str = "reduced") -> SolveResult:
     """Plain enumeration of the whole candidate space, written independently
     of the branch-and-bound code path.
 
@@ -492,7 +484,7 @@ def brute_force(
         raise InvalidArgumentsError(f"unknown invariant {invariant!r}")
     if space not in ("reduced", "full"):
         raise InvalidArgumentsError(f"unknown space {space!r}")
-    cap = _brute_cap(space, max_n)
+    cap = BRUTE_MAX_N_FULL if space == "full" else BRUTE_MAX_N_REDUCED
     _check_cap(g.n, cap, f"brute_force({invariant}, {space})")
     n = g.n
     adj = _sorted_adj(g)
@@ -549,9 +541,7 @@ def brute_force(
     return SolveResult(best_w, DRLabeling(best_t), count, "brute_force")
 
 
-def enumerate_min_drdfs(
-    g: Graph, max_n: int | None = None, opt: int | None = None
-) -> Iterator[DRLabeling]:
+def enumerate_min_drdfs(g: Graph, opt: int | None = None) -> Iterator[DRLabeling]:
     """Yield every minimum-weight DRDF over {0,2,3}^V in lexicographic order.
 
     By the one-elimination argument that space reaches the minimum weight of
@@ -561,7 +551,7 @@ def enumerate_min_drdfs(
     returned. opt, when given, is gamma_dR(g) from an earlier solve, so the
     graph is not solved again.
     """
-    _check_cap(g.n, max_n if max_n is not None else MINIMA_MAX_N, "enumerate_min_drdfs")
+    _check_cap(g.n, MINIMA_MAX_N, "enumerate_min_drdfs")
     if opt is None:
         opt = solve_double_roman(g, max_n=g.n).value
     found = _labelings(_sorted_adj(g), list(range(g.n)), (0, 2, 3), 2, [opt + 1, 0])

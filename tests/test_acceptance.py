@@ -13,7 +13,6 @@ from drd.bounds import (
     build_corona_realization,
     build_roman_pair_graph,
     check_cartesian,
-    check_fundamental,
     check_min_drdf_partition,
     check_twin,
     scan_pair_realizability,
@@ -36,7 +35,6 @@ from drd.graph import (
 from drd.labeling import eliminate_ones, is_valid_drdf
 from drd.solvers import (
     brute_force,
-    enumerate_min_drdfs,
     solve_domination,
     solve_double_roman,
     solve_roman,

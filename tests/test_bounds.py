@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import itertools
 
 import pytest
@@ -31,6 +33,7 @@ from drd.graph import (
     star,
     trivial,
 )
+from drd.report import load_schema
 from drd.solvers import solve_double_roman, solve_roman
 from conftest import random_connected_graph
 
@@ -38,7 +41,6 @@ from conftest import random_connected_graph
 def test_evaluate_relation():
     assert evaluate_relation("le", 3, 5) and not evaluate_relation("le", 6, 5)
     assert evaluate_relation("ge", 5, 5) and evaluate_relation("eq", 5, 5)
-    assert evaluate_relation("lt", 4, 5) and not evaluate_relation("lt", 5, 5)
     assert evaluate_relation("gt", 6, 5)
     assert evaluate_relation("between", 5, (5, 7))
     assert evaluate_relation("between", 7, (5, 7))
@@ -47,6 +49,17 @@ def test_evaluate_relation():
     assert not evaluate_relation("strictly_between", 5, (5, 7))
     with pytest.raises(InvalidArgumentsError):
         evaluate_relation("nosuch", 1, 2)
+
+
+def test_schema_relations_are_the_evaluated_ones():
+    # the relations evaluate_relation branches on, read from its source
+    tree = ast.parse(inspect.getsource(evaluate_relation))
+    branches = [n.comparators[0].value for n in ast.walk(tree)
+                if isinstance(n, ast.Compare) and getattr(n.left, "id", None) == "relation"]
+    enum = load_schema()["properties"]["results"]["items"]["properties"]["relation"]["enum"]
+    assert sorted(enum) == sorted(branches)
+    for relation in enum:
+        evaluate_relation(relation, 6, (5, 7) if "between" in relation else 5)
 
 
 def test_fundamental_rows_hold():

@@ -194,6 +194,14 @@ def test_check_grids_rejects_an_empty_range(capsys):
     assert main(["check", "grids", "--n", "5..x"]) == 2
 
 
+def test_check_grids_refuses_a_range_past_the_graph_limit(capsys, monkeypatch):
+    # grid2(n) has 2n vertices; the range is refused before any grid is solved
+    solved = []
+    monkeypatch.setattr(drd.cli.F, "gamma_dr_grid2", solved.append)
+    assert main(["check", "grids", "--n", "1..1000000000"]) == 2
+    assert "graphs support" in capsys.readouterr().err and solved == []
+
+
 def test_check_grids_skips_n2(capsys):
     code, doc = run_json(capsys, "check", "grids", "--n", "1..4")
     assert code == 0
@@ -316,6 +324,18 @@ def test_construct_family_edge_list_raw(capsys):
     code, out = run_cli(capsys, "construct", "family", "--spec", "path:3",
                         "--format", "edge_list")
     assert parse_graph(out, "edge_list").edges() == [(0, 1), (1, 2)]
+
+
+def test_construct_family_past_graph6(capsys):
+    # graph6's short form stops at 62 vertices: the report leaves it out, and
+    # only a graph6 output is refused
+    code, out = run_cli(capsys, "construct", "family", "--spec", "path:100",
+                        "--format", "edge_list")
+    assert code == 0 and parse_graph(out, "edge_list").edges() == path(100).edges()
+    code, doc = run_json(capsys, "construct", "family", "--spec", "path:100")
+    assert code == 0 and "graph" not in doc["results"][0]
+    assert main(["construct", "family", "--spec", "path:100", "--format", "graph6"]) == 2
+    assert "62 vertices" in capsys.readouterr().err
 
 
 def test_construct_roman_pair_report(capsys):

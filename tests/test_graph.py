@@ -16,7 +16,6 @@ from drd.graph import (
     MAX_GRAPH_N,
     FamilySpec,
     Graph,
-    RootedGraph,
     add_false_twin,
     add_true_twin,
     cartesian_product,
@@ -35,7 +34,6 @@ from drd.graph import (
     parse_graph,
     parse_graph6,
     path,
-    rooted_product,
     serialize_edge_list,
     serialize_graph,
     serialize_graph6,
@@ -120,12 +118,6 @@ def test_corona_counts():
     assert len(c.edges()) == len(g.edges()) + g.n * (len(h.edges()) + h.n)
     # each base vertex joined to its whole copy
     assert all(4 + 0 * 3 + j in c.adj[0] for j in range(3))
-
-
-def test_rooted_product_with_pendant_edge_is_corona():
-    g = cycle(5)
-    rp = rooted_product(g, [RootedGraph(path(2), 0)] * g.n)
-    assert rp.adj == corona(g, trivial(1)).adj
 
 
 def test_twins():

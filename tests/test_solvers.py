@@ -22,8 +22,8 @@ from drd.graph import (
     corona,
     cycle,
     disjoint_union,
-    enumerate_labeled_graphs,
     grid2,
+    parse_graph,
     path,
     star,
     trivial,
@@ -457,6 +457,26 @@ def test_route_choice(monkeypatch):
         for solver in (solve_roman, solve_double_roman):
             r = solver(g)
             assert r.method == "branch_and_bound" and r.nodes_explored < DP_CHECKPOINT
+
+
+def test_canonical_pass_hands_over(monkeypatch):
+    # the main pass ends below the checkpoint, so the width is unmeasured; the
+    # canonical pass measures it at the checkpoint (106 + 250 nodes) and hands
+    # over to a width-1 DP of 48 entries
+    g = parse_graph("Z????????????o??C??O?????????A?????????????O??????????CA@??_", "graph6")
+    assert (g.n, len(g.edges())) == (27, 10)
+    plain, r = solve_roman(g), solve_roman(g, canonical=True)
+    assert (plain.nodes_explored, plain.method) == (106, "branch_and_bound")
+    assert (r.nodes_explored, r.method) == (404, "frontier_dp")
+    adj = _sorted_adj(g)
+    width, order = frontier_order(adj)
+    assert width == 1
+    assert frontier_dp(adj, order, (0, 1, 2), 1) == (24, list(r.witness.values), 48)
+    # without the hand-over the index-order search takes 25,884 nodes to the same witness
+    monkeypatch.setattr(drd.solvers, "DP_CHECKPOINT", 10**9)
+    slow = solve_roman(g, canonical=True)
+    assert (slow.nodes_explored, slow.method) == (25_990, "branch_and_bound")
+    assert slow.witness == r.witness
 
 
 def test_pruning_pins_on_sparse_graphs(monkeypatch):
