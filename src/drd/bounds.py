@@ -15,6 +15,7 @@ from .graph import (
     FamilySpec,
     Graph,
     MAX_ENUMERATION_N,
+    MAX_GRAPH_N,
     add_false_twin,
     add_true_twin,
     cartesian_product,
@@ -247,6 +248,10 @@ def build_roman_pair_graph(b: int, i: int) -> tuple[Graph, tuple[int, int]]:
         raise InvalidArgumentsError(f"need floor(b/2) >= 2, got b={b}")
     if not 1 <= i <= h - 1:
         raise InvalidArgumentsError(f"need 1 <= i <= {h - 1}, got i={i}")
+    # h + 2 per pair (x_j, x_k) + 2 pendants when b is odd; refuse before building
+    n = h + 2 * (i * h - i * (i + 1) // 2) + 2 * (b % 2)
+    if n > MAX_GRAPH_N:
+        raise ResourceLimitError(f"graphs support n <= {MAX_GRAPH_N}, got n = {n}")
     edges = []
     nxt = h
     for j in range(1, i + 1):

@@ -3,7 +3,10 @@
 Every operation returns the exact invariant value for its family together
 with (where a construction is known) a labeling achieving that value on the
 canonically-indexed graph. Witnesses are re-validated before being returned,
-so a FormulaResult never carries an invalid or wrong-weight labeling.
+so a FormulaResult never carries an invalid or wrong-weight labeling. The
+pendant coronas G∘K1 and the double corona (G∘K1)∘K1 share one construction:
+3 on a dominating set D of the base, 2 on the pendant of every other base
+vertex.
 """
 
 from __future__ import annotations
@@ -11,18 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DrdError, ExcludedCaseError, InvalidSpecError, WrongFormulaError
-from .graph import (
-    Graph,
-    complete,
-    complete_bipartite,
-    corona,
-    cycle,
-    generate,
-    grid2,
-    path,
-    trivial,
-    FamilySpec,
-)
+from .graph import Graph, FamilySpec, corona, cycle, generate, grid2, trivial
 from .labeling import DRLabeling, is_valid_drdf
 
 
@@ -119,8 +111,15 @@ def _base_three_positions(n: int) -> set[int]:
     return pos
 
 
-def _corona_k1_value(n: int) -> int:
-    return (7 * n + (0, 2, 1)[n % 3]) // 3
+def _pendant_corona(family: str, params: tuple[int, ...], base: Graph, dominators: set[int],
+                    value: int, theorem: str) -> FormulaResult:
+    """corona(base, K1) labeled 3 on each vertex of ``dominators``, a
+    dominating set D of ``base``, and 2 on the pendant of every other base
+    vertex: weight 2n + |D|, checked against the stated ``value``."""
+    n = base.n
+    vals = [3 if i in dominators else 0 for i in range(n)]
+    vals += [0 if i in dominators else 2 for i in range(n)]  # pendant of base i is n + i
+    return _finish(family, params, value, vals, theorem, corona(base, trivial(1)))
 
 
 def gamma_dr_corona_k1(family: str, params: tuple[int, ...]) -> FormulaResult:
@@ -128,70 +127,35 @@ def gamma_dr_corona_k1(family: str, params: tuple[int, ...]) -> FormulaResult:
 
     path/cycle: 7n/3 rounded by residue; complete: 2n+1; complete
     bipartite: 2(p+q)+1 when either side is a single vertex, else
-    2(p+q+1). Witnesses follow the constructions behind each value.
+    2(p+q+1). Each witness is the pendant-corona labeling on the D below.
     """
-    if family in ("path", "cycle"):
-        if len(params) != 1:
-            raise InvalidSpecError(f"{family} takes one parameter")
-        n = params[0]
-        base = generate(FamilySpec(family, params))
-        value = _corona_k1_value(n)
-        threes = _base_three_positions(n)
-        vals = [0] * (2 * n)
-        for j in range(1, n + 1):
-            if j in threes:
-                vals[j - 1] = 3
-            else:
-                vals[n + j - 1] = 2  # leaf of a base zero
-        theorem = f"corona_k1_{family}"
-    elif family == "complete":
-        if len(params) != 1:
-            raise InvalidSpecError("complete takes one parameter")
-        n = params[0]
-        base = complete(n)
-        value = 2 * n + 1
-        vals = [0] * (2 * n)
-        vals[0] = 3
-        for i in range(1, n):
-            vals[n + i] = 2
-        theorem = "corona_k1_complete"
-    elif family == "complete_bipartite":
-        if len(params) != 2:
-            raise InvalidSpecError("complete_bipartite takes two parameters")
-        p, q = params
-        base = complete_bipartite(p, q)
-        nb = p + q
-        vals = [0] * (2 * nb)
-        if p == 1 or q == 1:
-            value = 2 * (p + q) + 1
-            anchor = 0 if p == 1 else p  # the lone vertex of the unit side
-            vals[anchor] = 3
-            for i in range(nb):
-                if i != anchor:
-                    vals[nb + i] = 2
-        else:
-            value = 2 * (p + q + 1)
-            vals[0] = 3  # first vertex of the p side
-            vals[p] = 3  # first vertex of the q side
-            for i in range(1, p):
-                vals[nb + i] = 2
-            for j in range(p + 1, nb):
-                vals[nb + j] = 2
-        theorem = "corona_k1_complete_bipartite"
-    else:
+    if family not in ("path", "cycle", "complete", "complete_bipartite"):
         raise InvalidSpecError(f"no pendant-corona formula for family {family!r}")
-    prod = corona(base, trivial(1))
-    return _finish(f"{family}_corona_k1", tuple(params), value, vals, theorem, prod)
+    params = tuple(params)
+    base = generate(FamilySpec(family, params))
+    n = base.n
+    if family in ("path", "cycle"):
+        value = (7 * n + (0, 2, 1)[n % 3]) // 3
+        dominators = {j - 1 for j in _base_three_positions(n)}
+    elif family == "complete":
+        value = 2 * n + 1
+        dominators = {0}
+    else:
+        p, q = params
+        if p == 1 or q == 1:
+            value = 2 * n + 1
+            dominators = {0 if p == 1 else p}  # the lone vertex of the unit side
+        else:
+            value = 2 * n + 2
+            dominators = {0, p}  # the first vertex of each side
+    return _pendant_corona(
+        f"{family}_corona_k1", params, base, dominators, value, f"corona_k1_{family}"
+    )
 
 
 def gamma_dr_double_corona(g: Graph) -> FormulaResult:
     """Attaching a pendant to every vertex twice always costs exactly 5n:
-    3 on each original vertex, 2 on the outer leaf of each first-level leaf."""
+    the pendant-corona labeling of corona(g, K1) with D = the vertices of g."""
     n = g.n
-    once = corona(g, trivial(1))
-    twice = corona(once, trivial(1))
-    vals = [0] * (4 * n)
-    for i in range(n):
-        vals[i] = 3
-        vals[3 * n + i] = 2  # leaf of the first-level leaf v_i
-    return _finish("double_corona", (n,), 5 * n, vals, "double_corona_5n", twice)
+    return _pendant_corona("double_corona", (n,), corona(g, trivial(1)), set(range(n)), 5 * n,
+                           "double_corona_5n")

@@ -131,30 +131,31 @@ def generate(spec: FamilySpec) -> Graph:
     """
     kind, params = spec.kind, spec.params
     if kind == "path":
-        _require(len(params) == 1 and params[0] >= 1, "path requires n >= 1")
+        _require(len(params) == 1 and params[0] >= 1, "path takes one parameter n >= 1")
         n = params[0]
         return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)), f"P{n}")
     if kind == "cycle":
-        _require(len(params) == 1 and params[0] >= 3, "cycle requires n >= 3")
+        _require(len(params) == 1 and params[0] >= 3, "cycle takes one parameter n >= 3")
         n = params[0]
         return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)), f"C{n}")
     if kind == "complete":
-        _require(len(params) == 1 and params[0] >= 1, "complete requires n >= 1")
+        _require(len(params) == 1 and params[0] >= 1, "complete takes one parameter n >= 1")
         n = params[0]
         return Graph.from_edges(n, itertools.combinations(range(n), 2), f"K{n}")
     if kind == "complete_bipartite":
-        _require(len(params) == 2 and min(params) >= 1, "complete_bipartite requires p,q >= 1")
+        _require(len(params) == 2 and min(params) >= 1,
+                 "complete_bipartite takes two parameters p, q >= 1")
         p, q = params
         edges = ((i, p + j) for i in range(p) for j in range(q))
         return Graph.from_edges(p + q, edges, f"K{p},{q}")
     if kind == "star":
-        _require(len(params) == 1 and params[0] >= 0, "star requires m >= 0")
+        _require(len(params) == 1 and params[0] >= 0, "star takes one parameter m >= 0")
         m = params[0]
         if m == 0:
             return Graph.from_edges(1, [], "K1")
         return Graph.from_edges(m + 1, ((0, j) for j in range(1, m + 1)), f"K1,{m}")
     if kind == "grid2":
-        _require(len(params) == 1 and params[0] >= 1, "grid2 requires n >= 1")
+        _require(len(params) == 1 and params[0] >= 1, "grid2 takes one parameter n >= 1")
         n = params[0]
         edges = itertools.chain(
             ((i * n + j, i * n + j + 1) for i in (0, 1) for j in range(n - 1)),
@@ -162,7 +163,7 @@ def generate(spec: FamilySpec) -> Graph:
         )
         return Graph.from_edges(2 * n, edges, f"G2,{n}")
     if kind == "trivial":
-        _require(len(params) == 1 and params[0] >= 1, "trivial requires n >= 1")
+        _require(len(params) == 1 and params[0] >= 1, "trivial takes one parameter n >= 1")
         n = params[0]
         return Graph.from_edges(n, [], "K1" if n == 1 else f"{n}K1")
     if kind == "disjoint_union":

@@ -112,6 +112,7 @@ def test_compute_deep_search(capsys):
     ["construct", "family", "--spec", "trivial:40000000"],
     ["compute", "--edge-list", "{huge}"],
     ["check", "corona", "--family", "trivial:50000", "--with", "trivial:50000"],
+    ["construct", "roman_pair", "--b", "20000", "--i", "9999"],
 ])
 def test_huge_graphs_are_refused_before_they_are_built(argv, tmp_path):
     resource = pytest.importorskip("resource")
@@ -310,6 +311,8 @@ def test_check_corona_variants(capsys):
     assert code == 0 and doc["results"][0]["rhs"] == 9
     code, doc = run_json(capsys, "check", "corona", "--family", "path:2", "--double")
     assert code == 0 and doc["results"][0]["rhs"] == 10
+    assert main(["check", "corona", "--family", "kpq:3"]) == 2
+    assert "complete_bipartite takes two parameters p, q >= 1" in capsys.readouterr().err
 
 
 # --- construct ---

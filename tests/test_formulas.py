@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from drd.errors import ExcludedCaseError, InvalidSpecError, WrongFormulaError
@@ -16,6 +14,7 @@ from drd.formulas import (
 )
 from drd.graph import complete, corona, cycle, grid2, path, star, trivial
 from drd.labeling import is_valid_drdf
+from drd.report import witness_text
 from drd.solvers import solve_double_roman
 from conftest import random_connected_graph, random_graph
 
@@ -73,6 +72,17 @@ def test_pendant_corona_values():
     assert gamma_dr_corona_k1("complete", (5,)).value == 11
     assert gamma_dr_corona_k1("complete_bipartite", (1, 4)).value == 11
     assert gamma_dr_corona_k1("complete_bipartite", (2, 3)).value == 12
+    # the witnesses themselves, one per family and per K_{p,q} branch
+    for family, params, want in [
+        ("path", (5,), "0,3,0,3,0,2,0,2,0,2"),
+        ("cycle", (7,), "0,3,0,0,3,0,3,2,0,2,2,0,2,0"),
+        ("complete", (4,), "3,0,0,0,0,2,2,2"),
+        ("complete_bipartite", (1, 3), "3,0,0,0,0,2,2,2"),
+        ("complete_bipartite", (3, 1), "0,0,0,3,2,2,2,0"),
+        ("complete_bipartite", (2, 3), "3,0,3,0,0,0,2,0,2,2"),
+    ]:
+        assert witness_text(gamma_dr_corona_k1(family, params).witness) == want, (family, params)
+    assert witness_text(gamma_dr_double_corona(path(3)).witness) == "3,3,3,0,0,0,0,0,0,2,2,2"
     with pytest.raises(InvalidSpecError):
         gamma_dr_corona_k1("nosuch", (3,))
     with pytest.raises(InvalidSpecError):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import random
 
 import pytest
 
