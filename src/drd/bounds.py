@@ -15,7 +15,6 @@ from .graph import (
     FamilySpec,
     Graph,
     MAX_ENUMERATION_N,
-    MAX_GRAPH_N,
     add_false_twin,
     add_true_twin,
     cartesian_product,
@@ -248,24 +247,23 @@ def build_roman_pair_graph(b: int, i: int) -> tuple[Graph, tuple[int, int]]:
         raise InvalidArgumentsError(f"need floor(b/2) >= 2, got b={b}")
     if not 1 <= i <= h - 1:
         raise InvalidArgumentsError(f"need 1 <= i <= {h - 1}, got i={i}")
-    # h + 2 per pair (x_j, x_k) + 2 pendants when b is odd; refuse before building
-    n = h + 2 * (i * h - i * (i + 1) // 2) + 2 * (b % 2)
-    if n > MAX_GRAPH_N:
-        raise ResourceLimitError(f"graphs support n <= {MAX_GRAPH_N}, got n = {n}")
-    edges = []
-    nxt = h
-    for j in range(1, i + 1):
-        for k in range(j + 1, h + 1):
-            for _ in range(2):
-                edges.append((j - 1, nxt))
-                edges.append((k - 1, nxt))
-                nxt += 1
-    if b % 2 == 1:
-        for _ in range(2):
-            edges.append((0, nxt))
+
+    def edges():
+        nxt = h
+        for j in range(1, i + 1):
+            for k in range(j + 1, h + 1):
+                for _ in range(2):
+                    yield j - 1, nxt
+                    yield k - 1, nxt
+                    nxt += 1
+        for _ in range(2 * (b % 2)):
+            yield 0, nxt
             nxt += 1
-    name = f"pair({h + i},{b})"
-    return Graph.from_edges(nxt, edges, name), (h + i, b)
+
+    # h + 2 per pair (x_j, x_k) + 2 pendants when b is odd, so a huge graph is
+    # refused before any edge is built
+    n = h + 2 * (i * h - i * (i + 1) // 2) + 2 * (b % 2)
+    return Graph.from_edges(n, edges(), f"pair({h + i},{b})"), (h + i, b)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DrdError, ExcludedCaseError, InvalidSpecError, WrongFormulaError
-from .graph import Graph, FamilySpec, corona, cycle, generate, grid2, trivial
+from .graph import Graph, complete, complete_bipartite, corona, cycle, grid2, path, trivial
 from .labeling import DRLabeling, is_valid_drdf
 
 
@@ -98,16 +98,16 @@ def gamma_dr_corona_nontrivial(g: Graph, h: Graph) -> FormulaResult:
 
 
 def _base_three_positions(n: int) -> set[int]:
-    """1-indexed positions of 3s in a minimum 2-free DRDF of the n-path,
-    reusable verbatim on the n-cycle: 2, 5, 8, ... plus a final 3 at n when
-    n = 3k+1 and at n-1 when n = 3k+2."""
+    """0-indexed positions of 3s in a minimum 2-free DRDF of the n-path,
+    reusable verbatim on the n-cycle: 1, 4, 7, ... plus a final 3 at n-1
+    when n = 3k+1 and at n-2 when n = 3k+2."""
     if n % 3 == 2:
-        pos = set(range(2, n - 1, 3))
-        pos.add(n - 1)
+        pos = set(range(1, n - 2, 3))
+        pos.add(n - 2)
     else:
-        pos = set(range(2, n + 1, 3))
+        pos = set(range(1, n, 3))
         if n % 3 == 1:
-            pos.add(n)
+            pos.add(n - 1)
     return pos
 
 
@@ -129,25 +129,29 @@ def gamma_dr_corona_k1(family: str, params: tuple[int, ...]) -> FormulaResult:
     bipartite: 2(p+q)+1 when either side is a single vertex, else
     2(p+q+1). Each witness is the pendant-corona labeling on the D below.
     """
-    if family not in ("path", "cycle", "complete", "complete_bipartite"):
-        raise InvalidSpecError(f"no pendant-corona formula for family {family!r}")
     params = tuple(params)
-    base = generate(FamilySpec(family, params))
-    n = base.n
-    if family in ("path", "cycle"):
+    if family in ("path", "cycle") and len(params) == 1:
+        (n,) = params
+        base = path(n) if family == "path" else cycle(n)
         value = (7 * n + (0, 2, 1)[n % 3]) // 3
-        dominators = {j - 1 for j in _base_three_positions(n)}
-    elif family == "complete":
-        value = 2 * n + 1
-        dominators = {0}
-    else:
+        dominators = _base_three_positions(n)
+    elif family == "complete" and len(params) == 1:
+        (n,) = params
+        base = complete(n)
+        value, dominators = 2 * n + 1, {0}
+    elif family == "complete_bipartite" and len(params) == 2:
         p, q = params
+        base = complete_bipartite(p, q)
         if p == 1 or q == 1:
-            value = 2 * n + 1
+            value = 2 * (p + q) + 1
             dominators = {0 if p == 1 else p}  # the lone vertex of the unit side
         else:
-            value = 2 * n + 2
+            value = 2 * (p + q + 1)
             dominators = {0, p}  # the first vertex of each side
+    else:
+        raise InvalidSpecError(
+            f"no pendant-corona formula for family {family!r} with parameters {params}"
+        )
     return _pendant_corona(
         f"{family}_corona_k1", params, base, dominators, value, f"corona_k1_{family}"
     )

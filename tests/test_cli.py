@@ -312,6 +312,8 @@ def test_check_corona_variants(capsys):
     code, doc = run_json(capsys, "check", "corona", "--family", "path:2", "--double")
     assert code == 0 and doc["results"][0]["rhs"] == 10
     assert main(["check", "corona", "--family", "kpq:3"]) == 2
+    assert "no pendant-corona formula for family 'complete_bipartite'" in capsys.readouterr().err
+    assert main(["compute", "--family", "kpq:3"]) == 2
     assert "complete_bipartite takes two parameters p, q >= 1" in capsys.readouterr().err
 
 
