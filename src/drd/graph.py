@@ -7,6 +7,7 @@ produced anywhere in the package has been checked.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -348,6 +349,13 @@ def serialize_graph6(g: Graph) -> str:
     return "".join(chars)
 
 
+@functools.lru_cache(maxsize=None)  # one entry per n <= 62
+def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The (i, j) of each bit of a graph6 body read as one int without its
+    padding, least significant bit first: the last pair in graph6 order first."""
+    return tuple((i, j) for j in range(n - 1, 0, -1) for i in range(j - 1, -1, -1))
+
+
 def parse_graph6(text: str) -> Graph:
     s = text.strip()
     if not s:
@@ -363,21 +371,23 @@ def parse_graph6(text: str) -> Graph:
         raise GraphParseError(
             f"expected {nbytes} data bytes for n={n}, got {len(s) - 1}", byte=len(s)
         )
-    bits = []
-    for pos, ch in enumerate(s[1:], start=1):
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise GraphParseError(f"byte {ch!r} outside graph6 range", byte=pos)
-        bits += [(val >> k) & 1 for k in range(5, -1, -1)]
-    if any(bits[nbits:]):
+    body = s[1:]
+    if body and not ("?" <= min(body) and max(body) <= "~"):
+        pos = next(pos for pos, ch in enumerate(body, start=1) if not "?" <= ch <= "~")
+        raise GraphParseError(f"byte {s[pos]!r} outside graph6 range", byte=pos)
+    data = 0  # the body's 6-bit groups, big-endian
+    for ch in body:
+        data = data << 6 | ord(ch) - 63
+    pad = 6 * nbytes - nbits
+    if data & ((1 << pad) - 1):
         raise GraphParseError("nonzero padding bits", byte=len(s) - 1)
+    data >>= pad
+    pairs = _graph6_pairs(n)
     edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
+    while data:
+        low = data & -data
+        edges.append(pairs[low.bit_length() - 1])
+        data ^= low
     return Graph.from_edges(n, edges)
 
 

@@ -11,6 +11,11 @@ runs long on a graph of small frontier width, an exact frontier DP (module
 `frontier`) finishes the job instead; it is a third route, tested against
 the oracle on its own.
 
+The three conditions are all on closed neighbourhoods, so a solve within
+the size cap takes each connected component on its own: the weights add
+up, and the merge of the components' lexicographically least optima is the
+graph's. An isolated vertex takes the least nonzero value with no search.
+
 Search-space note: the double Roman solver branches over {0,2,3} only. A
 minimum-weight labeling never needs the value 1 (any 1 can be folded into a
 neighboring 2 or 3 without increasing weight), so the reduced space always
@@ -185,21 +190,45 @@ def _rest_table(per: int, clears: int, deficit: int) -> list[int]:
     return [-(-d * per // clears) for d in range(deficit + 1)]
 
 
+def _neighbour_masks(adj: tuple[tuple[int, ...], ...]) -> list[int]:
+    """nbmask[v]: the bit mask of N(v)."""
+    nbmask = []
+    for a in adj:
+        m = 0
+        for u in a:
+            m |= 1 << u
+        nbmask.append(m)
+    return nbmask
+
+
+def _root_closes(degree: list[int], value_order: tuple[int, ...], need: int, best: int) -> bool:
+    """Whether a search below `best` ends at its root: its isolated vertices
+    at the least nonzero value each, or the counting bound (see `_labelings`)
+    on the whole deficit, weigh `best` or more. O(n), with no mask built."""
+    per, clears = _clearing_rate(value_order, need, max(degree))
+    return (min(filter(None, value_order)) * degree.count(0) >= best
+            or -(-need * len(degree) * per // clears) >= best)
+
+
 def _labelings(
     adj: tuple[tuple[int, ...], ...],
+    nbmask: list[int],
     order: list[int],
     value_order: tuple[int, ...],
     need: int,
     bound: list[int],
 ) -> Iterator[list[int] | None]:
-    """DFS over `value_order` assignments in `order`, on an explicit stack.
+    """DFS over `value_order` assignments in `order`, on an explicit stack,
+    with nbmask = `_neighbour_masks(adj)`.
 
     Yields a copy of every complete labeling lighter than bound[0] as it
     meets them (the caller may lower bound[0] in between), and None once, at
     DP_CHECKPOINT nodes; a caller that stops iterating abandons the search.
     bound[1] is the node count, up to date at every yield and at the end.
     With values ascending and bound[0] = opt + 1, the first labeling yielded
-    is the lexicographically least optimum.
+    is the lexicographically least optimum. The root is not priced here:
+    `_root_closes` does that before the caller builds the masks, so a search
+    that ends there costs O(n).
 
     A node's state is four bit masks, stored per depth when it is expanded,
     so backing up only takes the weight back. `short` holds the unassigned
@@ -224,8 +253,7 @@ def _labelings(
     A node that survives that and `floor` per dead vertex is priced again
     with k itself when even k = 0 would prune it, scanning the unassigned
     vertices until one has more short neighbors than the largest k that
-    still prunes. The root is priced before any mask is built, so a search
-    that ends there costs O(n).
+    still prunes.
 
     A value above `floor` is not tried on a vertex none of whose neighbors
     lacks more credit than `floor` gives (no short neighbor for Roman, no
@@ -238,17 +266,7 @@ def _labelings(
     deficit = need * n
     best = bound[0]
     bound[1] = nodes = 1  # the root
-    dead = degree.count(0)  # isolated vertices
-    per, clears = _clearing_rate(value_order, need, max(degree))
-    if floor * dead >= best or -(-deficit * per // clears) >= best:  # rest[0][deficit]
-        return
     lift = GAIN[floor]  # the credit `floor` gives
-    nbmask = []  # nbmask[v]: the bit mask of N(v)
-    for a in adj:
-        m = 0
-        for u in a:
-            m |= 1 << u
-        nbmask.append(m)
     rest = []  # rest[i][d]: the least weight with which order[i:] clears a deficit d
     top = -1
     for w in reversed(order):
@@ -261,7 +279,7 @@ def _labelings(
     # masks[i]: short, bare, done and shut while order[:i] is assigned; at
     # the root every vertex is short, and bare too when need is 2
     every = (1 << n) - 1
-    iso = sum(1 << v for v, d in enumerate(degree) if not d) if dead else 0
+    iso = sum(1 << v for v, d in enumerate(degree) if not d) if 0 in degree else 0
     masks = [(every, every if need == 2 else 0, 0, iso)] * n
     closing = [-1] * n  # closing[i]: the vertices order[i] closes, once known
     k = len(value_order)
@@ -356,11 +374,52 @@ def _labelings(
 
 
 def _sorted_adj(g: Graph) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sorted(s)) for s in g.adj)
+    return tuple([tuple(sorted(s)) for s in g.adj])
 
 
-def _degree_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+def _degree_order(degree: list[int]) -> list[int]:
+    # descending degree, ties by index: the sort is stable under reverse
+    return sorted(range(len(degree)), key=degree.__getitem__, reverse=True)
+
+
+def _components(nbmask: list[int]) -> list[list[int]]:
+    """The connected components as ascending vertex lists, least vertex first.
+
+    A component's mask is turned into its list at once: on a sparse graph
+    the masks of all components together would weigh as much as nbmask."""
+    parts = []
+    left = (1 << len(nbmask)) - 1
+    while left:
+        part = reach = left & -left
+        while reach:  # one breadth-first layer per round
+            new = 0
+            while reach:
+                low = reach & -reach
+                new |= nbmask[low.bit_length() - 1]
+                reach ^= low
+            reach = new & ~part
+            part |= reach
+        left ^= part
+        if not (left or parts):
+            return [list(range(len(nbmask)))]  # connected
+        vertices = []
+        while part:
+            low = part & -part
+            vertices.append(low.bit_length() - 1)
+            part ^= low
+        parts.append(vertices)
+    return parts
+
+
+def _incumbent(greedy: frozenset[int], vertices, values: tuple[int, ...]) -> tuple[int, list[int]]:
+    """The top value on the greedy set's members among `vertices` (for Roman,
+    all 1s when those weigh no more), as weight and values in that order."""
+    top = values[-1]
+    vals = [top if v in greedy else 0 for v in vertices]
+    w = top * (len(vals) - vals.count(0))
+    if 1 in values and w >= len(vals):
+        return len(vals), [1] * len(vals)
+    return w, vals
 
 
 def _solve_labeling(
@@ -368,58 +427,127 @@ def _solve_labeling(
 ) -> tuple[int, list[int], int, str]:
     """Weight, values, work and method of a minimum labeling for `need`.
 
-    The main pass searches in `_degree_order`, values tried in `value_order`,
-    below an incumbent that puts the top value on a greedy dominating set
-    (for Roman, all 1s when those weigh no more), and lowers its bound on
-    each labeling it gets. At DP_CHECKPOINT nodes it computes the frontier
-    order once and hands over to `frontier.frontier_dp` if `dp_fits` takes
-    its width. The DP returns the lexicographically least optimum; after the
-    search, canonical=True runs a lex-first pass (index order, ascending
-    values) that takes the first optimum, with the same hand-over unless the
-    width was measured already. Above `cap` vertices there is no search: the
-    graph goes to the DP if its width fits and is refused if not.
+    Above `cap` vertices there is no search: the graph goes to the DP if its
+    width fits and is refused if not, whether it is connected or not. Within
+    the cap, the root is priced first (`_root_closes`) against an incumbent
+    that puts the top value on a greedy dominating set, before any mask is
+    built; a root that closes ends a solve that is not canonical. Then the
+    graph splits into its connected components, found on the neighbour
+    masks. The three invariants are sums of conditions on closed
+    neighbourhoods, so the weights add up, and the lexicographically least
+    optimum is the merge of each component's own least optimum. An isolated
+    vertex takes the least nonzero value, with no search. Every other
+    component, relabelled in ascending index order, goes through
+    `_solve_part` on its own (a connected graph whole, with the masks built
+    here). `nodes` sums the components' work, and the isolated vertices
+    count as one root node between them, so it is at least 1. `method` is
+    frontier_dp when the DP finished any component, else branch_and_bound.
     """
     adj = _sorted_adj(g)
     values = tuple(sorted(value_order))
-    dp_order: list[int] | None = None  # set when a pass hands over
-    nodes = 0
     if g.n > cap:
         dp_order = _dp_order(adj, need)
         if dp_order is None:
             _check_cap(g.n, cap, what)  # too wide for the DP: refused
-    else:
-        greedy = greedy_dominating_set(g)
-        top = values[-1]
-        best_w, best_vals = top * len(greedy), [top if v in greedy else 0 for v in range(g.n)]
-        if 1 in values and best_w >= g.n:
-            best_w, best_vals = g.n, [1] * g.n
+        return _by_frontier_dp(adj, dp_order, values, need, 0)
+    greedy = greedy_dominating_set(g)
+    best_w, best_vals = _incumbent(greedy, range(g.n), values)
+    degree = [len(a) for a in adj]
+    closed = _root_closes(degree, value_order, need, best_w)
+    if closed and not canonical:
+        return best_w, best_vals, 1, "branch_and_bound"
+    nbmask = _neighbour_masks(adj)
+    parts = _components(nbmask)
+    if len(parts) == 1:
+        return _solve_part(
+            adj, nbmask, degree, need, value_order, values, best_w, best_vals, closed, canonical
+        )
+    floor = min(filter(None, values))
+    labels = [floor] * g.n  # the isolated vertices keep theirs
+    isolated = degree.count(0)
+    weight, nodes = floor * isolated, min(isolated, 1)
+    method = "branch_and_bound"
+    pos = [0] * g.n  # a vertex's index in its component
+    for part in parts:
+        if len(part) == 1:
+            continue  # an isolated vertex
+        for i, v in enumerate(part):
+            pos[v] = i
+        sub = tuple(tuple(pos[u] for u in adj[v]) for v in part)
+        deg = [degree[v] for v in part]
+        w, vals = _incumbent(greedy, part, values)
+        shut = closed or _root_closes(deg, value_order, need, w)
+        w, vals, work, route = _solve_part(
+            sub, _neighbour_masks(sub), deg, need, value_order, values, w, vals, shut, canonical
+        )
+        weight += w
+        nodes += work
+        for v, x in zip(part, vals):
+            labels[v] = x
+        if route == "frontier_dp":
+            method = route
+    return weight, labels, nodes, method
+
+
+def _solve_part(
+    adj: tuple[tuple[int, ...], ...],
+    nbmask: list[int],
+    degree: list[int],
+    need: int,
+    value_order: tuple[int, ...],
+    values: tuple[int, ...],
+    best_w: int,
+    best_vals: list[int],
+    closed: bool,
+    canonical: bool,
+) -> tuple[int, list[int], int, str]:
+    """`_solve_labeling` on a connected graph, from the incumbent best_w,
+    best_vals, whose root `closed` says whether it is optimal.
+
+    The main pass searches in `_degree_order`, values tried in `value_order`,
+    and lowers its bound on each labeling it gets. At DP_CHECKPOINT nodes it
+    computes the frontier order once and hands over to `frontier.frontier_dp`
+    if `dp_fits` takes its width. The DP returns the lexicographically least
+    optimum; after the search, canonical=True runs a lex-first pass (index
+    order, ascending values) that takes the first optimum, with the same
+    hand-over unless the width was measured already.
+    """
+    dp_order: list[int] | None = None  # set when a pass hands over
+    nodes = 1  # a closed root
+    if not closed:
         bound = [best_w, 0]
-        for vals in _labelings(adj, _degree_order(g), value_order, need, bound):
+        for vals in _labelings(adj, nbmask, _degree_order(degree), value_order, need, bound):
             if vals is not None:
                 best_w = bound[0] = sum(vals)
                 best_vals = vals
             elif (dp_order := _dp_order(adj, need)) is not None:
                 break
         nodes = bound[1]
-        if canonical and dp_order is None:
-            measured = nodes >= DP_CHECKPOINT  # the main pass found the width too large
-            bound = [best_w + 1, 0]
-            best_vals = None
-            for vals in _labelings(adj, list(range(g.n)), values, need, bound):
-                if vals is not None:
-                    best_vals = vals
-                    break
-                if not measured and (dp_order := _dp_order(adj, need)) is not None:
-                    break
-            nodes += bound[1]
+    if canonical and dp_order is None:
+        measured = nodes >= DP_CHECKPOINT  # the main pass found the width too large
+        bound = [best_w + 1, 0]
+        best_vals = None
+        for vals in _labelings(adj, nbmask, list(range(len(adj))), values, need, bound):
+            if vals is not None:
+                best_vals = vals
+                break
+            if not measured and (dp_order := _dp_order(adj, need)) is not None:
+                break
+        nodes += bound[1]
     if dp_order is not None:
-        from .frontier import frontier_dp
-
-        best_w, best_vals, entries = frontier_dp(adj, dp_order, values, need)
-        return best_w, best_vals, nodes + entries, "frontier_dp"
+        return _by_frontier_dp(adj, dp_order, values, need, nodes)
     if best_vals is None:
         raise DrdError("canonical pass failed to rediscover the optimum")
     return best_w, best_vals, nodes, "branch_and_bound"
+
+
+def _by_frontier_dp(
+    adj: tuple[tuple[int, ...], ...], order: list[int], values: tuple[int, ...], need: int, nodes: int
+) -> tuple[int, list[int], int, str]:
+    from .frontier import frontier_dp
+
+    best_w, best_vals, entries = frontier_dp(adj, order, values, need)
+    return best_w, best_vals, nodes + entries, "frontier_dp"
 
 
 def solve_domination(g: Graph, canonical: bool = False, max_n: int | None = None) -> SolveResult:
@@ -554,7 +682,8 @@ def enumerate_min_drdfs(g: Graph, opt: int | None = None) -> Iterator[DRLabeling
     _check_cap(g.n, MINIMA_MAX_N, "enumerate_min_drdfs")
     if opt is None:
         opt = solve_double_roman(g, max_n=g.n).value
-    found = _labelings(_sorted_adj(g), list(range(g.n)), (0, 2, 3), 2, [opt + 1, 0])
+    adj = _sorted_adj(g)
+    found = _labelings(adj, _neighbour_masks(adj), list(range(g.n)), (0, 2, 3), 2, [opt + 1, 0])
     minima = [DRLabeling(tuple(vals)) for vals in found if vals is not None]
     if not minima or any(f.weight != opt or not is_valid_drdf(g, f) for f in minima):
         raise DrdError(f"minimum enumeration found no valid minima of weight {opt}")

@@ -176,6 +176,19 @@ def test_serialization_roundtrips(n, r):
     assert parse_graph(serialize_graph(g, "graph6"), "graph6").adj == g.adj
 
 
+def test_graph6_roundtrips_up_to_62(graphs_upto_5):
+    # every labeled graph on at most 5 vertices, then seeded graphs of every
+    # density up to the short form's 62 vertices, edgeless and complete ones
+    # included
+    for g in graphs_upto_5:
+        assert parse_graph6(serialize_graph6(g)) == g, g.edges()
+    r = random.Random(17)
+    for n in range(1, 63):
+        for p in (0.0, r.random(), r.random(), 1.0):
+            g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if r.random() < p])
+            assert parse_graph6(serialize_graph6(g)) == g, (n, g.edges())
+
+
 def test_edge_list_parse_errors():
     with pytest.raises(GraphParseError, match="line 2"):
         parse_edge_list("2 1\n0 0\n")
@@ -198,6 +211,18 @@ def test_graph6_parse_errors():
         parse_graph6("B_!")
     with pytest.raises(GraphParseError):
         parse_graph6("\x01_")
+    # each refusal names the first offending byte
+    for text, message, byte in [
+        ("B", "expected 1 data bytes for n=3, got 0", 1),
+        ("~~", "only the short graph6 form (n <= 62) is supported", 0),
+        ("E_~!", "byte '!' outside graph6 range", 3),
+        ("E!~\u00e9", "byte '!' outside graph6 range", 1),
+        ("B\u00e9", "byte '\u00e9' outside graph6 range", 1),
+        ("B@", "nonzero padding bits", 1),
+    ]:
+        with pytest.raises(GraphParseError) as err:
+            parse_graph6(text)
+        assert (str(err.value), err.value.byte) == (f"{message} (byte {byte})", byte), text
     with pytest.raises(InvalidArgumentsError):
         serialize_graph6(trivial(63))
     with pytest.raises(InvalidArgumentsError):

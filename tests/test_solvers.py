@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import tracemalloc
@@ -9,7 +10,6 @@ import tracemalloc
 import pytest
 
 import drd.bounds
-import drd.frontier
 import drd.solvers
 from drd.errors import InvalidArgumentsError, ResourceLimitError
 from drd.formulas import gamma_dr_corona_k1, gamma_dr_cycle, gamma_dr_grid2
@@ -23,6 +23,7 @@ from drd.graph import (
     cycle,
     disjoint_union,
     grid2,
+    is_connected,
     parse_graph,
     path,
     star,
@@ -31,7 +32,11 @@ from drd.graph import (
 from drd.labeling import DRLabeling, RomanLabeling, is_dominating, is_valid_drdf, is_valid_rdf
 from drd.report import witness_text
 from drd.solvers import (
+    BRUTE_MAX_N_REDUCED,
     DP_CHECKPOINT,
+    _degree_order,
+    _labelings,
+    _neighbour_masks,
     _sorted_adj,
     brute_force,
     dp_fits,
@@ -48,6 +53,28 @@ SOLVERS = {
     "roman": solve_roman,
     "double_roman": solve_double_roman,
 }
+
+# need and value order of each solver's labeling: a dominating set is a
+# {0,2} labeling of twice its size
+ENGINE = {"domination": (1, (2, 0)), "roman": (1, (2, 0, 1)), "double_roman": (2, (3, 2, 0))}
+
+
+def _engine_labelings(g, need, value_order, order, best):
+    """`_labelings` run directly on g's whole adjacency, in `order` below
+    `best`, lowering its bound to each labeling it yields: the labelings,
+    lightest last, and its node count."""
+    adj = _sorted_adj(g)
+    bound = [best, 0]
+    found = []
+    for vals in _labelings(adj, _neighbour_masks(adj), order, value_order, need, bound):
+        if vals is not None:
+            found.append(vals)
+            bound[0] = sum(vals)
+    return found, bound[1]
+
+
+def _by_degree(g):
+    return _degree_order([len(a) for a in g.adj])
 
 KNOWN = [
     # graph, gamma, gamma_R, gamma_dR
@@ -460,29 +487,31 @@ def test_route_choice(monkeypatch):
 
 
 def test_canonical_pass_hands_over(monkeypatch):
-    # the main pass ends below the checkpoint, so the width is unmeasured; the
-    # canonical pass measures it at the checkpoint (106 + 250 nodes) and hands
-    # over to a width-1 DP of 48 entries
-    g = parse_graph("Z????????????o??C??O?????????A?????????????O??????????CA@??_", "graph6")
-    assert (g.n, len(g.edges())) == (27, 10)
+    # a connected graph (21 vertices, 22 edges) whose main pass ends below the
+    # checkpoint, so the width is unmeasured; the canonical pass measures it at
+    # the checkpoint (220 + 250 nodes) and hands over to a width-3 DP of 182
+    # entries
+    g = parse_graph("Th_GK?G@?G?@?_C??_??O?O??G?@G???E??C", "graph6")
+    assert (g.n, len(g.edges()), is_connected(g)) == (21, 22, True)
     plain, r = solve_roman(g), solve_roman(g, canonical=True)
-    assert (plain.nodes_explored, plain.method) == (106, "branch_and_bound")
-    assert (r.nodes_explored, r.method) == (404, "frontier_dp")
+    assert (plain.nodes_explored, plain.method) == (220, "branch_and_bound")
+    assert (r.nodes_explored, r.method) == (652, "frontier_dp")
     adj = _sorted_adj(g)
     width, order = frontier_order(adj)
-    assert width == 1
-    assert frontier_dp(adj, order, (0, 1, 2), 1) == (24, list(r.witness.values), 48)
-    # without the hand-over the index-order search takes 25,884 nodes to the same witness
+    assert width == 3
+    assert frontier_dp(adj, order, (0, 1, 2), 1) == (12, list(r.witness.values), 182)
+    # without the hand-over the index-order search takes 5,858 nodes to the same witness
     monkeypatch.setattr(drd.solvers, "DP_CHECKPOINT", 10**9)
     slow = solve_roman(g, canonical=True)
-    assert (slow.nodes_explored, slow.method) == (25_990, "branch_and_bound")
+    assert (slow.nodes_explored, slow.method) == (6_078, "branch_and_bound")
     assert slow.witness == r.witness
 
 
 def test_pruning_pins_on_sparse_graphs(monkeypatch):
     # B&B nodes of the main pass and of the canonical pass over a seeded
     # sparse corpus, with the DP hand-over off: each pruning test, and the
-    # order the search makes them in, shows in these totals
+    # order the search makes them in, shows in these totals. 21 of the 30
+    # graphs are disconnected, so the totals count their components' searches
     monkeypatch.setattr(drd.solvers, "DP_CHECKPOINT", 10**9)
     rng = random.Random(13)
     corpus = []
@@ -491,7 +520,7 @@ def test_pruning_pins_on_sparse_graphs(monkeypatch):
         corpus.append(Graph.from_edges(
             n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
         ))
-    pins = {"domination": (3514, 773), "roman": (3343, 3723), "double_roman": (14475, 5274)}
+    pins = {"domination": (2220, 622), "roman": (1895, 2182), "double_roman": (8098, 3129)}
     for name, solver in SOLVERS.items():
         main = extra = 0
         for g in corpus:
@@ -504,23 +533,18 @@ def test_pruning_pins_on_sparse_graphs(monkeypatch):
         assert (main, extra) == pins[name], name
 
 
-def test_root_test_comes_before_the_masks(monkeypatch):
+def test_root_test_comes_before_the_masks():
     # gamma_R of a perfect matching on 20,000 vertices closes at the root, so
-    # its search builds no n-bit mask: its traced peak was 35.6 MB when the
-    # masks came first, about 25 MB of it theirs. gamma_dR searches up to the
-    # checkpoint and goes to the DP, and stays within the 42.8 MB it took
-    # then. The DP takes about 0.4 s here but 3-6 s under tracemalloc, so its
-    # known answer (3 on each odd vertex) stands in for it; its own traced
-    # peak is 1.3 MB
+    # its solve builds no n-bit mask: its traced peak was 35.6 MB when the
+    # masks came first, about 25 MB of it theirs. gamma_dR's whole-graph root
+    # bound (ceil(4n/3)) stays below the greedy's 3n/2, so it builds the masks
+    # and splits the graph: the root bound closes each edge, one node apiece,
+    # within the 42.8 MB that its search to the DP took before the split
     n = 20_000
     g = Graph.from_edges(n, [(v, v + 1) for v in range(0, n, 2)])
-    monkeypatch.setattr(
-        drd.frontier, "frontier_dp",
-        lambda adj, order, values, need: (3 * n // 2, [3 * (v % 2) for v in range(n)], 0),
-    )
     for solver, expect, limit in (
         (solve_roman, (n, "branch_and_bound", 1), 8e6),
-        (solve_double_roman, (3 * n // 2, "frontier_dp", DP_CHECKPOINT), 42.8e6),
+        (solve_double_roman, (3 * n // 2, "branch_and_bound", n // 2), 42.8e6),
     ):
         tracemalloc.start()
         try:
@@ -568,8 +592,13 @@ def test_hub_graphs_match_oracle():
 
 def test_dominated_values_are_not_tried():
     # an isolated vertex has no neighbor to credit, so a 3 on it is never
-    # tried: a 2 there is just as valid and weighs less
+    # tried: a 2 there is just as valid and weighs less. The solvers label
+    # isolated vertices with no search, so the engine runs on the whole
+    # adjacency here, below the greedy incumbent (3 on a K7 vertex and on
+    # every isolated one)
     g = disjoint_union(complete(7), trivial(1000))
+    found, nodes = _engine_labelings(g, 2, (3, 2, 0), _by_degree(g), 3 * 1001)
+    assert sum(found[-1]) == 2003 and nodes < 10_000
     r = solve_double_roman(g, max_n=5000)
     assert (r.value, r.method) == (2003, "branch_and_bound")
     assert r.nodes_explored < 10_000
@@ -617,9 +646,76 @@ def test_root_bound_closes_cycles():
 
 
 def test_search_deeper_than_the_recursion_limit():
-    # K7 keeps the graph too wide for the DP, so the search runs through all
-    # 1,007 vertices, past Python's default recursion limit of 1,000
+    # the engine on the whole adjacency (the solvers split it) runs through
+    # all 1,007 vertices, past Python's default recursion limit of 1,000,
+    # before it yields a labeling: it yields complete ones only
     g = disjoint_union(complete(7), trivial(1000))
+    for name, weight in (("roman", 1002), ("domination", 2002)):
+        need, value_order = ENGINE[name]
+        found, _ = _engine_labelings(g, need, value_order, _by_degree(g), weight + 1)
+        assert len(found[0]) == g.n and sum(found[-1]) == weight, name
     for solver, value in ((solve_roman, 1002), (solve_domination, 1001)):
         r = solver(g, max_n=5000)
         assert (r.value, r.method) == (value, "branch_and_bound")
+
+
+def test_split_matches_the_whole_graph_search():
+    # seeded disjoint unions of sparse G(n, p) past the oracle's reach: the
+    # split's value is the one the degree-order search on the whole adjacency
+    # reaches from opt + 1, and its canonical witness is the first labeling
+    # of the index-order pass at opt + 1, the canonical pass before the split
+    rng = random.Random(18)
+    witness = {
+        "domination": lambda vals: frozenset(v for v, x in enumerate(vals) if x),
+        "roman": lambda vals: RomanLabeling(tuple(vals)),
+        "double_roman": lambda vals: DRLabeling(tuple(vals)),
+    }
+    sizes = []
+    while len(sizes) < 8:
+        g = trivial(1)
+        while g.n <= BRUTE_MAX_N_REDUCED or g.n > 30:
+            parts = []
+            for _ in range(rng.randint(2, 3)):
+                k, p = rng.randint(4, 10), rng.uniform(0.1, 0.35)
+                parts.append(Graph.from_edges(
+                    k, [e for e in itertools.combinations(range(k), 2) if rng.random() < p]
+                ))
+            g = functools.reduce(disjoint_union, parts)
+        sizes.append(g.n)
+        for name, solver in SOLVERS.items():
+            need, value_order = ENGINE[name]
+            weight = solver(g).value * (2 if name == "domination" else 1)
+            found, _ = _engine_labelings(g, need, value_order, _by_degree(g), weight + 1)
+            assert sum(found[-1]) == weight, (name, g.edges())
+            first, _ = _engine_labelings(g, need, tuple(sorted(value_order)), list(range(g.n)),
+                                         weight + 1)
+            r = solver(g, canonical=True)
+            assert r.witness == witness[name](first[0]), (name, g.edges())
+    assert min(sizes) > BRUTE_MAX_N_REDUCED and max(sizes) >= 25
+
+
+def test_isolated_vertices_take_the_least_nonzero_value():
+    # edgeless graphs, and one edge among isolated vertices: the isolated
+    # vertices are labelled with no search, and the work count stays >= 1
+    cases = [
+        (trivial(k), {
+            "domination": (k, frozenset(range(k))),
+            "roman": (k, RomanLabeling((1,) * k)),
+            "double_roman": (2 * k, DRLabeling((2,) * k)),
+        }) for k in (1, 2, 5)
+    ]
+    cases.append((Graph.from_edges(5, [(2, 3)]), {
+        # the edge's least optima: {3}, (0, 2) and (0, 3)
+        "domination": (4, frozenset({0, 1, 3, 4})),
+        "roman": (5, RomanLabeling((1, 1, 0, 2, 1))),
+        "double_roman": (9, DRLabeling((2, 2, 0, 3, 2))),
+    }))
+    for g, expect in cases:
+        for name, solver in SOLVERS.items():
+            value, witness = expect[name]
+            assert witness == brute_force(g, name).witness, (name, g.n)
+            for canonical in (False, True):
+                r = solver(g, canonical=canonical)
+                assert (r.value, r.method) == (value, "branch_and_bound"), (name, g.n)
+                assert r.nodes_explored >= 1, (name, g.n)
+            assert r.witness == witness, (name, g.n)
