@@ -391,7 +391,8 @@ def _components(nbmask: list[int]) -> list[list[int]]:
     left = (1 << len(nbmask)) - 1
     while left:
         part = reach = left & -left
-        while reach:  # one breadth-first layer per round
+        # one breadth-first layer per round, until no vertex is new or none is left
+        while reach and part != left:
             new = 0
             while reach:
                 low = reach & -reach

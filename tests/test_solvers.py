@@ -76,6 +76,7 @@ def _engine_labelings(g, need, value_order, order, best):
 def _by_degree(g):
     return _degree_order([len(a) for a in g.adj])
 
+
 KNOWN = [
     # graph, gamma, gamma_R, gamma_dR
     (trivial(1), 1, 1, 2),
@@ -597,7 +598,7 @@ def test_dominated_values_are_not_tried():
     # adjacency here, below the greedy incumbent (3 on a K7 vertex and on
     # every isolated one)
     g = disjoint_union(complete(7), trivial(1000))
-    found, nodes = _engine_labelings(g, 2, (3, 2, 0), _by_degree(g), 3 * 1001)
+    found, nodes = _engine_labelings(g, *ENGINE["double_roman"], _by_degree(g), 3 * 1001)
     assert sum(found[-1]) == 2003 and nodes < 10_000
     r = solve_double_roman(g, max_n=5000)
     assert (r.value, r.method) == (2003, "branch_and_bound")
