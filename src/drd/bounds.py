@@ -8,7 +8,7 @@ the value the construction promises, leaving confirmation to the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidArgumentsError, ResourceLimitError
 from .graph import (
@@ -36,8 +36,7 @@ from .solvers import (
 )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     bound_id: str
     lhs: int
     rhs: int | tuple[int, int]
@@ -269,8 +268,7 @@ def build_roman_pair_graph(b: int, i: int) -> tuple[Graph, tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Exhaustive pair scans
 
-@dataclass(frozen=True)
-class PairScanResult:
+class PairScanResult(NamedTuple):
     a: int
     b: int
     n_max: int

@@ -86,10 +86,16 @@ def _add_graph_source(p: argparse.ArgumentParser, multiple: bool = False):
 
 
 def _read_edge_list(path: str) -> str:
+    """The ASCII text of the file at ``path``, or of stdin for '-'."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as e:
+        raise GraphParseError("edge-list input is not ASCII", byte=e.start) from None
 
 
 def _listify(v) -> list:

@@ -11,15 +11,14 @@ vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DrdError, ExcludedCaseError, InvalidSpecError, WrongFormulaError
 from .graph import Graph, complete, complete_bipartite, corona, cycle, grid2, path, trivial
 from .labeling import DRLabeling, is_valid_drdf
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple):
     family: str
     params: tuple[int, ...]
     value: int

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     GraphParseError,
@@ -29,7 +28,6 @@ MAX_GRAPH_N = 100_000
 MAX_GRAPH_EDGES = 1_000_000
 
 
-@dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
@@ -39,23 +37,39 @@ class Graph:
 
     n: int
     adj: tuple[frozenset[int], ...]
-    name: str | None = field(default=None, compare=False)
+    name: str | None
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, adj: tuple[frozenset[int], ...], name: str | None = None):
+        if n < 1:
             raise InvalidArgumentsError("graphs must have at least one vertex")
-        if len(self.adj) != self.n:
-            raise InvalidArgumentsError(
-                f"adjacency has {len(self.adj)} entries for {self.n} vertices"
-            )
-        for v, nbrs in enumerate(self.adj):
+        if len(adj) != n:
+            raise InvalidArgumentsError(f"adjacency has {len(adj)} entries for {n} vertices")
+        for v, nbrs in enumerate(adj):
             for u in nbrs:
-                if not 0 <= u < self.n:
+                if not 0 <= u < n:
                     raise InvalidArgumentsError(f"neighbor {u} of {v} out of range")
                 if u == v:
                     raise InvalidArgumentsError(f"self-loop at vertex {v}")
-                if v not in self.adj[u]:
+                if v not in adj[u]:
                     raise InvalidArgumentsError(f"asymmetric edge {v}->{u}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "name", name)
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"cannot assign to field {field!r}")
+
+    def __delattr__(self, field):
+        raise AttributeError(f"cannot delete field {field!r}")
+
+    # equality and hash on adj alone, which fixes n = len(adj)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.adj == other.adj
+
+    def __hash__(self):
+        return hash(self.adj)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], name: str | None = None) -> Graph:
@@ -104,8 +118,7 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # Parametric families
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Descriptor of a parametric graph family.
 
     ``disjoint_union`` is the one compound kind: it carries sub-specs in

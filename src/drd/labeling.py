@@ -9,8 +9,7 @@ such that every 0-vertex has two neighbors valued 2 or one valued 3
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Iterable
+from typing import ClassVar, Iterable, NamedTuple
 
 from .errors import InvalidArgumentsError
 from .graph import Graph
@@ -18,7 +17,6 @@ from .graph import Graph
 VertexSet = frozenset[int]
 
 
-@dataclass(frozen=True)
 class Labeling:
     """A function V -> ALPHABET, stored as a value per vertex index.
 
@@ -29,13 +27,31 @@ class Labeling:
     values: tuple[int, ...]
     ALPHABET: ClassVar[tuple[int, ...]] = ()
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple[int, ...]):
+        if not values:
             raise InvalidArgumentsError("labeling needs at least one vertex")
-        for v, x in enumerate(self.values):
+        for v, x in enumerate(values):
             if x not in self.ALPHABET:
                 alphabet = ",".join(str(a) for a in self.ALPHABET)
                 raise InvalidArgumentsError(f"value {x} at vertex {v} not in {{{alphabet}}}")
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"cannot assign to field {field!r}")
+
+    def __delattr__(self, field):
+        raise AttributeError(f"cannot delete field {field!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(values={self.values!r})"
 
     @property
     def n(self) -> int:
@@ -58,16 +74,14 @@ class RomanLabeling(Labeling):
     ALPHABET = (0, 1, 2)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failing vertex and which condition it fails ("i" or "ii")."""
 
     vertex: int
     condition: str
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     valid: bool
     violations: tuple[Violation, ...] = ()
 

@@ -7,11 +7,9 @@ JSON form validates and the CSV form carries identical content.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
 from .bounds import BoundReport, PairScanResult
 from .graph import serialize_graph6
@@ -36,8 +34,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     inputs: dict
     results: list[dict]
@@ -98,6 +95,8 @@ def row_from_verdict(kind: str, verdict: Verdict, params: dict) -> dict:
 
 
 def load_schema() -> dict:
+    from importlib import resources
+
     text = resources.files("drd").joinpath("report_schema.json").read_text()
     return json.loads(text)
 
@@ -127,6 +126,8 @@ def _cell(row: dict, col: str) -> str:
 
 
 def to_csv(report: Report) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

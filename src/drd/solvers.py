@@ -28,8 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import DrdError, InvalidArgumentsError, ResourceLimitError
 from .graph import Graph
@@ -54,8 +53,7 @@ INVARIANTS = ("domination", "roman", "double_roman")
 Witness = Union[DRLabeling, RomanLabeling, VertexSet]
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     value: int
     witness: Witness
     nodes_explored: int

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -412,11 +413,17 @@ def test_console_script_end_to_end():
 
 def test_cli_import_leaves_the_frontier_dp_unloaded():
     # drd.frontier is loaded only when a solve hands over to the DP, so a
-    # process that never does (a pair scan, say) does not pay to import it
-    r = subprocess.run([sys.executable, "-c",
-                        "import sys, drd.cli; print('drd.frontier' in sys.modules)"],
+    # process that never does (a pair scan, say) does not pay to import it.
+    # Nor does it pay for dataclasses and the inspect module it loads, or
+    # for what only CSV output and load_schema use. -S keeps site hooks
+    # from loading any of them first.
+    unloaded = ("drd.frontier", "dataclasses", "inspect", "csv", "importlib.resources")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import drd.cli; "
+            "print([m for m in sys.argv[2:] if m in sys.modules])")
+    src = str(Path(drd.cli.__file__).parent.parent)
+    r = subprocess.run([sys.executable, "-S", "-c", code, src, *unloaded],
                        capture_output=True, text=True)
-    assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+    assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr
 
 
 def test_stdin_edge_list():
@@ -425,6 +432,24 @@ def test_stdin_edge_list():
                        input="2 1\n0 1\n", capture_output=True, text=True)
     assert r.returncode == 0
     assert json.loads(r.stdout)["results"][0]["value"] == 3
+
+
+# the last endpoint is U+0662, the Arabic-Indic digit two, which int() reads as 2
+NON_ASCII_EDGE_LIST = "3 2\n0 1\n1 \u0662\n".encode()
+
+
+def test_non_ascii_edge_list_file_is_a_parse_error(tmp_path, capsys):
+    p = tmp_path / "g.txt"
+    p.write_bytes(NON_ASCII_EDGE_LIST)
+    assert main(["compute", "--edge-list", str(p)]) == 2
+    assert capsys.readouterr().err == "error: edge-list input is not ASCII (byte 10)\n"
+
+
+def test_non_ascii_edge_list_on_stdin_is_a_parse_error():
+    r = subprocess.run([sys.executable, "-m", "drd.cli", "compute", "--edge-list", "-"],
+                       input=NON_ASCII_EDGE_LIST, capture_output=True)
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert r.stderr == b"error: edge-list input is not ASCII (byte 10)\n"
 
 
 def test_help_documents_family_syntax():

@@ -46,14 +46,28 @@ from conftest import random_graph
 # --- construction and validation ---
 
 def test_graph_rejects_bad_adjacency():
-    with pytest.raises(ValueError):
-        Graph(2, (frozenset({1}), frozenset()))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(1, (frozenset({0}),))  # loop
-    with pytest.raises(ValueError):
-        Graph(1, (frozenset({3}),))  # out of range
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^asymmetric edge 0->1$"):
+        Graph(2, (frozenset({1}), frozenset()))
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 0$"):
+        Graph(1, (frozenset({0}),))
+    with pytest.raises(ValueError, match=r"^neighbor 3 of 0 out of range$"):
+        Graph(1, (frozenset({3}),))
+    with pytest.raises(ValueError, match=r"^graphs must have at least one vertex$"):
         Graph(0, ())
+    with pytest.raises(ValueError, match=r"^adjacency has 1 entries for 2 vertices$"):
+        Graph(2, (frozenset(),))
+
+
+def test_graph_equality_ignores_name_and_fields_are_frozen():
+    g, h = Graph.from_edges(3, [(0, 1)], "a"), Graph.from_edges(3, [(0, 1)], "b")
+    assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+    assert g != Graph.from_edges(3, [(1, 2)], "a") and g != Graph.from_edges(2, [(0, 1)], "a")
+    for field, value in (("n", 4), ("adj", ()), ("name", "c")):
+        with pytest.raises(AttributeError):
+            setattr(g, field, value)
+        with pytest.raises(AttributeError):
+            delattr(g, field)
+    assert (g.n, g.name) == (3, "a")
 
 
 def test_from_edges_and_edges_roundtrip():

@@ -27,6 +27,12 @@ def test_labeling_types():
     assert f.n == 3 and f.weight == 3
     assert RomanLabeling((1, 0, 2)).weight == 3
     assert DRLabeling((1,)) != RomanLabeling((1,))
+    assert f == DRLabeling((0, 3, 0)) and hash(f) == hash(DRLabeling((0, 3, 0)))
+    assert f != DRLabeling((0, 2, 0)) and repr(f) == "DRLabeling(values=(0, 3, 0))"
+    with pytest.raises(AttributeError):
+        f.values = (3, 0, 0)
+    with pytest.raises(AttributeError):
+        del f.values
     with pytest.raises(InvalidArgumentsError, match=r"value 4 at vertex 1 not in \{0,1,2,3\}"):
         DRLabeling((0, 4))
     with pytest.raises(InvalidArgumentsError, match=r"value 3 at vertex 0 not in \{0,1,2\}"):
@@ -39,7 +45,7 @@ def test_drdf_validity_known_cases():
     p3 = path(3)
     assert is_valid_drdf(p3, DRLabeling((0, 3, 0))).valid
     v = is_valid_drdf(p3, DRLabeling((0, 2, 0)))
-    assert not v.valid
+    assert not v.valid and not v and v.violations  # falsy, with a nonempty tuple
     assert [(x.vertex, x.condition) for x in v.violations] == [(0, "i"), (2, "i")]
     # two 2s protect a shared 0-neighbor
     assert is_valid_drdf(p3, DRLabeling((2, 0, 2))).valid

@@ -110,6 +110,8 @@ def test_witnesses_are_valid_and_tight():
         r = solve_double_roman(g)
         assert is_valid_drdf(g, r.witness).valid and r.witness.weight == gdr
         assert r.nodes_explored > 0 and r.method == "branch_and_bound"
+    with pytest.raises(AttributeError):  # a result is read-only
+        r.value = 0
 
 
 def test_oracle_agreement_exhaustive_n4(graphs_upto_4):
