@@ -282,11 +282,6 @@ def _pair_hit(g: Graph, a: int, b: int) -> bool:
     return solve_roman(g).value == a and solve_double_roman(g).value == b
 
 
-# Verdicts stored per edge mask during a scan; 0 means not reached yet.
-_SKIPPED = 1  # disconnected while connected_only is set
-_MISSED = 2  # scanned, and the pair did not occur
-
-
 def _generator_tables(n: int, pairs: list[tuple[int, int]], split: int) -> list[tuple]:
     """Lookup tables for the transposition (0 1) and the cycle (0 1 ... n-1),
     which generate the symmetric group: per generator, the images of the low
@@ -307,54 +302,68 @@ def _generator_tables(n: int, pairs: list[tuple[int, int]], split: int) -> list[
     return tables
 
 
-def _mark_class(verdicts: bytearray, mask: int, verdict: int, tables: list, split: int) -> None:
-    """Store verdict on every mask isomorphic to mask, each mask once.
+def _mark_class(seen: bytearray, mask: int, tables: list, split: int) -> int:
+    """Set seen[m] to 1 for every mask m isomorphic to mask, each mask once,
+    and return how many were set: the size of the class when none was set
+    before.
 
     Every vertex permutation is a product of the two generators (in a finite
     group an inverse is a power), so a walk that takes both images of each
-    mask, two lookups, reaches the whole class."""
+    mask, two lookups, reaches the whole class. The scan walks only to count
+    the masks below a hit; the committed class table (module graph_classes)
+    is this walk's output, which a test regenerates."""
     (swap_low, swap_high), (cycle_low, cycle_high) = tables
     low_bits = (1 << split) - 1
-    verdicts[mask] = verdict
+    seen[mask] = 1
     stack = [mask]
+    stored = 1
     while stack:
         m = stack.pop()
         low, high = m & low_bits, m >> split
         image = swap_low[low] | swap_high[high]
-        if not verdicts[image]:
-            verdicts[image] = verdict
+        if not seen[image]:
+            seen[image] = 1
             stack.append(image)
+            stored += 1
         image = cycle_low[low] | cycle_high[high]
-        if not verdicts[image]:
-            verdicts[image] = verdict
+        if not seen[image]:
+            seen[image] = 1
             stack.append(image)
+            stored += 1
+    return stored
 
 
 def _scan_order(n: int, a: int, b: int, connected_only: bool) -> tuple[int, Graph | None]:
     """Scan the labeled graphs on n vertices in ascending edge-mask order:
     graphs scanned up to and including the first hit, and the hit.
 
-    Only the first mask of each isomorphism class is built and solved; a
-    walk along two generators of S_n stores its verdict on the whole class,
-    so later masks of the class cost a byte each. The first hit in mask
-    order is the first mask of the first class that hits, which gets solved.
+    Only the least mask of each isomorphism class is built and solved, read
+    from the committed class table (module graph_classes) in ascending
+    order; a class that misses adds its size to the count. The first hit in
+    mask order is the least mask of the first class that hits. Masks of the
+    missed classes can lie above it, so on a hit a walk along two generators
+    of S_n marks those classes and the marked masks below the hit are counted.
     """
+    from .graph_classes import CLASSES  # loaded late: only a scan reads it
     pairs = edge_positions(n)
-    split = (len(pairs) + 1) // 2
-    tables = _generator_tables(n, pairs, split)
-    verdicts = bytearray(1 << len(pairs))
-    mask = 0
-    while mask != -1:
+    scanned = 0
+    missed = []
+    for entry in CLASSES[n - 1].split():
+        least, size = entry.split(":")
+        mask = int(least)
         g = graph_from_edge_mask(n, mask, pairs)
         if connected_only and not is_connected(g):
-            verdict = _SKIPPED
-        elif _pair_hit(g, a, b):
-            return verdicts.count(_MISSED, 0, mask) + 1, g
-        else:
-            verdict = _MISSED
-        _mark_class(verdicts, mask, verdict, tables, split)
-        mask = verdicts.find(0, mask + 1)
-    return verdicts.count(_MISSED), None
+            continue
+        if _pair_hit(g, a, b):
+            split = (len(pairs) + 1) // 2
+            tables = _generator_tables(n, pairs, split)
+            seen = bytearray(1 << len(pairs))
+            for m in missed:
+                _mark_class(seen, m, tables, split)
+            return seen.count(1, 0, mask) + 1, g
+        scanned += int(size)
+        missed.append(mask)
+    return scanned, None
 
 
 def scan_pair_realizability(
@@ -370,8 +379,9 @@ def scan_pair_realizability(
     bitmask; the reported graph is the first hit in that order and
     graphs_scanned counts every labeled graph scanned up to it (with
     connected_only, the connected ones). Both invariants are the same on
-    isomorphic graphs, so each isomorphism class is solved once, at its
-    first mask, and its other masks only add to the count.
+    isomorphic graphs, so each isomorphism class is built and solved once,
+    at its least mask, taken from the committed table of the classes on at
+    most MAX_ENUMERATION_N vertices; its other masks only add to the count.
     """
     if n_max > MAX_ENUMERATION_N:
         raise ResourceLimitError(

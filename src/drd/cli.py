@@ -345,13 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true")
     p.add_argument("--stats", action="store_true")
     p.add_argument("--max-n", type=int, default=None, help="override the solver size cap")
-    p.set_defaults(func=cmd_compute)
+    p.set_defaults(func=cmd_compute, parser=p)
 
     p = sub.add_parser("verify", parents=[common], help="verify a labeling or set")
     _add_graph_source(p)
     p.add_argument("--labeling", required=True, help="comma-separated values, e.g. 0,3,0")
     p.add_argument("--kind", choices=("drdf", "rdf", "dominating"), default="drdf")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     check = sub.add_parser("check", help="run a verification suite")
     csub = check.add_subparsers(dest="suite", required=True)
@@ -360,29 +360,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p, multiple=True)
     p.add_argument("--all-minima", action="store_true",
                    help="check the partition bounds on every minimum labeling")
-    p.set_defaults(func=cmd_check_fundamental)
+    p.set_defaults(func=cmd_check_fundamental, parser=p)
 
     p = csub.add_parser("cartesian", parents=[common])
     _add_graph_source(p, multiple=True)
-    p.set_defaults(func=cmd_check_cartesian)
+    p.set_defaults(func=cmd_check_cartesian, parser=p)
 
     p = csub.add_parser("twins", parents=[common])
     _add_graph_source(p)
     p.add_argument("--vertex", type=int, default=None)
     p.add_argument("--all-vertices", action="store_true")
     p.add_argument("--kind", choices=("true", "false", "both"), default="both")
-    p.set_defaults(func=cmd_check_twins)
+    p.set_defaults(func=cmd_check_twins, parser=p)
 
     p = csub.add_parser("corona", parents=[common])
     p.add_argument("--family", required=True, help="base family spec")
     p.add_argument("--with", dest="with_family", default=None,
                    help="corona with this family instead of a pendant vertex")
     p.add_argument("--double", action="store_true", help="pendant corona applied twice")
-    p.set_defaults(func=cmd_check_corona)
+    p.set_defaults(func=cmd_check_corona, parser=p)
 
     p = csub.add_parser("grids", parents=[common])
     p.add_argument("--n", required=True, help="single n or range lo..hi")
-    p.set_defaults(func=cmd_check_grids)
+    p.set_defaults(func=cmd_check_grids, parser=p)
 
     p = csub.add_parser("pairs", parents=[common])
     p.add_argument("--a", type=int, required=True)
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility and must be >= 1; the scan "
                         "solves each isomorphism class once on one process")
-    p.set_defaults(func=cmd_check_pairs)
+    p.set_defaults(func=cmd_check_pairs, parser=p)
 
     p = sub.add_parser("construct", help="emit a constructed graph")
     p.add_argument("target", choices=("family", "corona_realization", "roman_pair"))
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("table", "json", "csv", "edge_list", "graph6"), default="table")
     p.add_argument("--canonical", action="store_true")
     p.add_argument("--output", default=None, help="write the graph here plus a .json sidecar")
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, parser=p)
     return parser
 
 
@@ -423,11 +423,11 @@ def _command_name(args) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _shared_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     start = time.monotonic()
     try:
-        inputs, rows, raw = args.func(args, parser)
+        # each body gets its own subparser, so its usage errors name the subcommand
+        inputs, rows, raw = args.func(args, args.parser)
     except USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ from drd.bounds import (
 )
 from drd.errors import InvalidArgumentsError, ResourceLimitError
 from drd.graph import (
+    MAX_ENUMERATION_N,
     complete,
     cycle,
     disjoint_union,
@@ -33,6 +34,7 @@ from drd.graph import (
     star,
     trivial,
 )
+from drd.graph_classes import CLASSES
 from drd.report import load_schema
 from drd.solvers import solve_double_roman, solve_roman
 from conftest import random_connected_graph
@@ -222,7 +224,7 @@ def test_pair_scan_solves_each_class_once(monkeypatch):
 
 
 def test_pair_scan_solves_each_class_once_at_n7(monkeypatch):
-    # the README's example scan; the walk marks all 2^21 masks of n = 7
+    # the README's example scan; it misses, so no class is walked
     calls = []
     monkeypatch.setattr(
         drd.bounds, "solve_roman", lambda g: calls.append(g) or solve_roman(g)
@@ -231,6 +233,23 @@ def test_pair_scan_solves_each_class_once_at_n7(monkeypatch):
     assert r.found is None and r.graphs_scanned == 1_893_732
     # 143 connected classes on 1..6 vertices, 853 on 7 (OEIS A001349)
     assert len(calls) == 143 + 853
+
+
+@pytest.mark.parametrize("a, b, connected_only, scanned, found", [
+    (4, 7, True, 943, "EpQ?"),
+    (5, 7, True, 29_758, "FBZC?"),
+    (5, 8, True, 27_964, "FhQC?"),
+    (4, 7, False, 13, "C_"),
+    (5, 7, False, 2_020, "E@r?"),
+    (5, 8, False, 96, "DK?"),
+    (1, 1, False, sum(1 << n * (n - 1) // 2 for n in range(1, 8)), None),
+])
+def test_pair_scan_pins_at_n7(a, b, connected_only, scanned, found):
+    # hits on 6 and 7 vertices count the masks of missed classes below them;
+    # the pins were read from the scan that walked every mask
+    r = scan_pair_realizability(a, b, n_max=7, connected_only=connected_only)
+    assert r.graphs_scanned == scanned
+    assert (serialize_graph6(r.found) if r.found else None) == found
 
 
 def _orbit(n: int, mask: int, pairs: list[tuple[int, int]]) -> set[int]:
@@ -263,9 +282,10 @@ def test_mark_class_walks_each_orbit_once():
         mask = 0
         while mask != -1:
             before = bytes(verdicts)
-            drd.bounds._mark_class(verdicts, mask, drd.bounds._MISSED, tables, split)
+            stored = drd.bounds._mark_class(verdicts, mask, tables, split)
             marked = {m for m in range(len(verdicts)) if verdicts[m] != before[m]}
             assert marked == _orbit(n, mask, pairs), (n, mask)
+            assert stored == len(marked), (n, mask)
             classes.append(n)
             mask = verdicts.find(0, mask + 1)
         assert all(verdicts)
@@ -299,3 +319,26 @@ def test_pair_scan_class_representatives(monkeypatch):
             continue
         matches = [h for h in reps.get(key(atlas), []) if nx.is_isomorphic(h, atlas)]
         assert len(matches) == 1
+
+
+def test_class_table_is_the_walk_output():
+    # regenerate every class list with the orbit walk: least masks ascending
+    # (the walk starts each class at the first mask it has not reached yet)
+    assert len(CLASSES) == MAX_ENUMERATION_N
+    connected = []
+    for n in range(1, MAX_ENUMERATION_N + 1):
+        pairs = edge_positions(n)
+        split = (len(pairs) + 1) // 2
+        tables = drd.bounds._generator_tables(n, pairs, split)
+        seen = bytearray(1 << len(pairs))
+        walked = []
+        mask = 0
+        while mask != -1:
+            walked.append(f"{mask}:{drd.bounds._mark_class(seen, mask, tables, split)}")
+            mask = seen.find(0, mask + 1)
+        assert " ".join(walked) == CLASSES[n - 1], n
+        sizes = [int(e.split(":")[1]) for e in walked]
+        assert sum(sizes) == 1 << len(pairs), n
+        connected.append(sum(is_connected(graph_from_edge_mask(n, int(e.split(":")[0]), pairs))
+                             for e in walked))
+    assert connected == [1, 1, 2, 6, 21, 112, 853]  # OEIS A001349

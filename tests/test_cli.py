@@ -156,6 +156,19 @@ def test_no_graph_source_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: drd compute ")
+    assert "drd compute: error: no graph given: use --family, --edge-list or --graph6" in err
+
+
+def test_subcommand_usage_errors_name_the_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "cartesian", "--family", "path:2", "--family", "path:3",
+              "--graph6", "A_"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: drd check cartesian ")
+    assert "drd check cartesian: error: cartesian check expects one or two graph sources" in err
 
 
 # --- verify ---
@@ -413,11 +426,12 @@ def test_console_script_end_to_end():
 
 def test_cli_import_leaves_the_frontier_dp_unloaded():
     # drd.frontier is loaded only when a solve hands over to the DP, so a
-    # process that never does (a pair scan, say) does not pay to import it.
+    # process that never does (a pair scan, say) does not pay to import it;
+    # likewise the class table, which only a pair scan reads.
     # Nor does it pay for dataclasses and the inspect module it loads, or
     # for what only CSV output and load_schema use. -S keeps site hooks
     # from loading any of them first.
-    unloaded = ("drd.frontier", "dataclasses", "inspect", "csv", "importlib.resources")
+    unloaded = ("drd.frontier", "drd.graph_classes", "dataclasses", "inspect", "csv", "importlib.resources")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import drd.cli; "
             "print([m for m in sys.argv[2:] if m in sys.modules])")
     src = str(Path(drd.cli.__file__).parent.parent)
