@@ -156,9 +156,12 @@ def check_cartesian(g: Graph, h: Graph) -> list[BoundReport]:
     prod = cartesian_product(g, h)
     gdr_prod = solve_double_roman(prod).value
     gam_g = solve_domination(g).value
-    gam_h = solve_domination(h).value
     gdr_g = solve_double_roman(g).value
-    gdr_h = solve_double_roman(h).value
+    if h == g:  # one factor twice: solve it once
+        gam_h, gdr_h = gam_g, gdr_g
+    else:
+        gam_h = solve_domination(h).value
+        gdr_h = solve_double_roman(h).value
     context = f"{_ctx(g)} x {_ctx(h)}"
     return [
         _report(

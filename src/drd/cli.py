@@ -176,11 +176,14 @@ def cmd_verify(args, parser):
 
 def cmd_check_fundamental(args, parser):
     mode = "all_minima" if args.all_minima else "witness_only"
+    # witness_only reads the partition of one witness: under --canonical that
+    # is the canonical one, which does not depend on the solver's route
+    canonical = args.canonical and not args.all_minima
     rows = []
     descs = []
     for g, desc in resolve_graphs(args, parser):
         descs.append(desc)
-        gdr = solve_double_roman(g)
+        gdr = solve_double_roman(g, canonical=canonical)
         gam = solve_domination(g).value
         rows.extend(R.row_from_bound(br) for br in B.check_fundamental(g, gdr.value, gam))
         try:

@@ -1,12 +1,15 @@
 """Exact domination, Roman and double Roman domination by dynamic
 programming along a vertex order of small frontier width.
 
-A branch-and-bound pass in `solvers` hands a graph over to this module
-when its search runs long, and a graph over the size cap comes here
-directly, when `frontier_order` finds a width that `solvers.dp_fits`
-allows. The DP returns the lexicographically least optimum, so a canonical
-solve needs no second pass. The module is imported only then, so a process
-that solves nothing large does not pay to load it.
+`solvers` sends a connected component here before any search when it is
+sparse, has 12 or more vertices, leaves a root gap of 2 or more and has
+frontier width 2 or less, which `frontier_order` probes with a limit that
+stops it at the first wider frontier. A branch-and-bound pass hands a graph
+over when its search runs long, and a graph over the size cap comes here
+directly, in both cases when `frontier_order` finds a width that
+`solvers.dp_fits` allows. The DP returns the lexicographically least
+optimum, so a canonical solve needs no second pass. The module is imported
+only then, so a process that solves nothing large does not pay to load it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ import heapq
 from .solvers import GAIN
 
 
-def frontier_order(adj: tuple[tuple[int, ...], ...]) -> tuple[int, list[int]]:
+def frontier_order(
+    adj: tuple[tuple[int, ...], ...], limit: int | None = None
+) -> tuple[int, list[int]]:
     """A vertex order for `frontier_dp` and its frontier width.
 
     After each step the frontier is the set of placed vertices that still
@@ -29,8 +34,14 @@ def frontier_order(adj: tuple[tuple[int, ...], ...]) -> tuple[int, list[int]]:
     neighbor is left with it as its last unplaced neighbor, and then only
     falls; so costs are pushed to a heap as they change and stale entries
     are skipped, in O((n + m) log n) time.
+
+    With a `limit`, the walk stops at the first frontier larger than it and
+    returns that frontier's size with the order so far, so a probe of a
+    wider graph costs a heapify and a few pops.
     """
     n = len(adj)
+    if limit is None:
+        limit = n  # no frontier is larger
     unplaced_nbrs = [len(a) for a in adj]
     linked = [0] * n  # placed neighbors
     closed = [0] * n  # placed neighbors whose last unplaced neighbor this is
@@ -48,7 +59,10 @@ def frontier_order(adj: tuple[tuple[int, ...], ...]) -> tuple[int, list[int]]:
         if placed[v] or c != cost(v):
             continue
         size += c[0]
-        width = max(width, size)
+        if size > width:
+            width = size
+            if size > limit:
+                break
         placed[v] = True
         order.append(v)
         for u in adj[v]:

@@ -1,8 +1,10 @@
 """Simple undirected graphs: representation, family generators, operators, formats.
 
-Vertices are the indices 0..n-1. All operators return new Graph values; the
-constructor validates symmetry, loop-freedom and index range, so every graph
-produced anywhere in the package has been checked.
+Vertices are the indices 0..n-1. All operators return new Graph values,
+built by `Graph.from_edges`, which checks every edge for index range and
+loops and makes the adjacency symmetric as it builds it, so every graph
+produced anywhere in the package has been checked once. A direct
+`Graph(n, adj)` checks range, loops and symmetry itself.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ class Graph:
                     raise InvalidArgumentsError(f"self-loop at vertex {v}")
                 if v not in adj[u]:
                     raise InvalidArgumentsError(f"asymmetric edge {v}->{u}")
+        self._fill(n, adj, name)
+
+    def _fill(self, n: int, adj: tuple[frozenset[int], ...], name: str | None):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "name", name)
@@ -75,7 +80,10 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], name: str | None = None) -> Graph:
         """The graph on n vertices with these edges. Refuses n > MAX_GRAPH_N
         up front and more than MAX_GRAPH_EDGES edges as they are consumed, so
-        pass an iterator to refuse a huge edge set before it is built."""
+        pass an iterator to refuse a huge edge set before it is built. The
+        edges are checked here, so the constructor's checks are skipped."""
+        if n < 1:
+            raise InvalidArgumentsError("graphs must have at least one vertex")
         if n > MAX_GRAPH_N:
             raise ResourceLimitError(f"graphs support n <= {MAX_GRAPH_N}, got n = {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
@@ -88,7 +96,9 @@ class Graph:
                 raise InvalidArgumentsError(f"self-loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
-        return cls(n, tuple(frozenset(s) for s in adj), name)
+        g = object.__new__(cls)
+        g._fill(n, tuple(frozenset(s) for s in adj), name)
+        return g
 
     @property
     def edge_count(self) -> int:

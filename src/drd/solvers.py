@@ -6,10 +6,11 @@ All three invariants are solved by one branch-and-bound labeling engine
 agreement between them is meaningful evidence of correctness. The engine
 differs between the invariants only in the alphabet, the value order and how
 much neighbor credit a 0-vertex needs: a dominating set is a {0,2} labeling
-of twice its size. The engine also lists every minimum DRDF. When a search
-runs long on a graph of small frontier width, an exact frontier DP (module
-`frontier`) finishes the job instead; it is a third route, tested against
-the oracle on its own.
+of twice its size. The engine also lists every minimum DRDF. An exact
+frontier DP (module `frontier`) solves a sparse graph of frontier width 2 or
+less before any search, and finishes the job when a search runs long on a
+graph of small frontier width; it is a third route, tested against the
+oracle on its own.
 
 The three conditions are all on closed neighbourhoods, so a solve within
 the size cap takes each connected component on its own: the weights add
@@ -148,9 +149,29 @@ GAIN = (0, 0, 1, 2)
 # random-graphs pass 220.5, 219.0, 216.5, 217.1 and 216.9 ms, and a pair-scan
 # pass 33.6-34.4 ms at all five. 250 is the lowest value that slows no
 # workload, and it leaves the searches that P19 and C20 finish below 250
-# nodes (P19's gamma_dR takes 244) on branch and bound.
+# nodes (P19's gamma_dR takes 244) on branch and bound; that sweep ran
+# without the route from the root below, which now takes P19's gamma_dR.
 DP_CHECKPOINT = 250
 DP_MAX_STATES = 5**4
+# A connected graph goes to the DP from the root, with no search at all, when
+# it has ROOT_DP_MIN_N vertices or more, its greedy incumbent lies
+# ROOT_DP_MIN_GAP or more above the root bound and its frontier width is
+# ROOT_DP_WIDTH or less (see `_root_route`): the paper's products and coronas
+# of paths and cycles, whose searches otherwise throw away DP_CHECKPOINT
+# nodes before the same DP. Timed the same way (best of 9 per command over
+# the families list, best of 9 over random-graphs passes 0-3), one setting
+# moved at a time from 12, 2 and 2: a families pass took 10.85-10.92 ms with
+# the route off; 8.30-8.37, 8.15-8.25, 8.08-8.29, 8.47-8.66 and 8.74-8.81 ms
+# at a least n of 8, 10, 12, 14 and 16; 8.52-8.65 and 8.40-8.41 ms at a gap
+# of 1 and 3 (a gap of 1 takes P19's gamma and gamma_R, which the search
+# closes in under 100 nodes, to the DP); 10.53-10.69 and 8.04-8.12 ms at a
+# width of 1 and 3. A random-graphs pass took 143.3-145.2 ms in every
+# setting, the route off included. 12 probes 212 of its 1,774 components
+# over the four passes and 10 probes 290, for no gain; a width of 3 ties
+# with 2 on both lists, and 2 keeps every table at 25 states or fewer.
+ROOT_DP_MIN_N = 12
+ROOT_DP_MIN_GAP = 2
+ROOT_DP_WIDTH = 2
 
 
 def dp_fits(width: int, need: int) -> bool:
@@ -164,6 +185,25 @@ def _dp_order(adj: tuple[tuple[int, ...], ...], need: int) -> list[int] | None:
 
     width, order = frontier_order(adj)
     return order if dp_fits(width, need) else None
+
+
+def _root_route(
+    adj: tuple[tuple[int, ...], ...], degree: list[int], gap: int
+) -> list[int] | None:
+    """The order to solve a connected graph along by the DP before any
+    search, when the root's `gap` is ROOT_DP_MIN_GAP or more, it has
+    ROOT_DP_MIN_N vertices or more and `frontier_order` finds width
+    ROOT_DP_WIDTH or less, else None. An order of width w places each vertex
+    next to at most w earlier ones, so a graph with more than
+    w * n - w * (w + 1) / 2 edges is refused without a probe; the probe of a
+    wider graph stops at the first frontier over w."""
+    n, w = len(adj), ROOT_DP_WIDTH
+    if gap < ROOT_DP_MIN_GAP or n < ROOT_DP_MIN_N or sum(degree) > w * (2 * n - w - 1):
+        return None
+    from .frontier import frontier_order
+
+    width, order = frontier_order(adj, w)
+    return order if width <= w else None
 
 
 @functools.lru_cache(maxsize=256)
@@ -199,13 +239,14 @@ def _neighbour_masks(adj: tuple[tuple[int, ...], ...]) -> list[int]:
     return nbmask
 
 
-def _root_closes(degree: list[int], value_order: tuple[int, ...], need: int, best: int) -> bool:
-    """Whether a search below `best` ends at its root: its isolated vertices
-    at the least nonzero value each, or the counting bound (see `_labelings`)
-    on the whole deficit, weigh `best` or more. O(n), with no mask built."""
+def _root_gap(degree: list[int], value_order: tuple[int, ...], need: int, best: int) -> int:
+    """`best` less the root's lower bound: its isolated vertices at the least
+    nonzero value each, or the counting bound (see `_labelings`) on the whole
+    deficit. The search below `best` ends at its root when the gap is 0 or
+    less. O(n), with no mask built."""
     per, clears = _clearing_rate(value_order, need, max(degree))
-    return (min(filter(None, value_order)) * degree.count(0) >= best
-            or -(-need * len(degree) * per // clears) >= best)
+    return best - max(min(filter(None, value_order)) * degree.count(0),
+                      -(-need * len(degree) * per // clears))
 
 
 def _labelings(
@@ -225,7 +266,7 @@ def _labelings(
     bound[1] is the node count, up to date at every yield and at the end.
     With values ascending and bound[0] = opt + 1, the first labeling yielded
     is the lexicographically least optimum. The root is not priced here:
-    `_root_closes` does that before the caller builds the masks, so a search
+    `_root_gap` does that before the caller builds the masks, so a search
     that ends there costs O(n).
 
     A node's state is four bit masks, stored per depth when it is expanded,
@@ -428,7 +469,7 @@ def _solve_labeling(
 
     Above `cap` vertices there is no search: the graph goes to the DP if its
     width fits and is refused if not, whether it is connected or not. Within
-    the cap, the root is priced first (`_root_closes`) against an incumbent
+    the cap, the root is priced first (`_root_gap`) against an incumbent
     that puts the top value on a greedy dominating set, before any mask is
     built; a root that closes ends a solve that is not canonical. Then the
     graph splits into its connected components, found on the neighbour
@@ -452,14 +493,14 @@ def _solve_labeling(
     greedy = greedy_dominating_set(g)
     best_w, best_vals = _incumbent(greedy, range(g.n), values)
     degree = [len(a) for a in adj]
-    closed = _root_closes(degree, value_order, need, best_w)
-    if closed and not canonical:
+    gap = _root_gap(degree, value_order, need, best_w)
+    if gap <= 0 and not canonical:
         return best_w, best_vals, 1, "branch_and_bound"
     nbmask = _neighbour_masks(adj)
     parts = _components(nbmask)
     if len(parts) == 1:
         return _solve_part(
-            adj, nbmask, degree, need, value_order, values, best_w, best_vals, closed, canonical
+            adj, nbmask, degree, need, value_order, values, best_w, best_vals, gap, canonical
         )
     floor = min(filter(None, values))
     labels = [floor] * g.n  # the isolated vertices keep theirs
@@ -475,9 +516,9 @@ def _solve_labeling(
         sub = tuple(tuple(pos[u] for u in adj[v]) for v in part)
         deg = [degree[v] for v in part]
         w, vals = _incumbent(greedy, part, values)
-        shut = closed or _root_closes(deg, value_order, need, w)
+        part_gap = 0 if gap <= 0 else _root_gap(deg, value_order, need, w)
         w, vals, work, route = _solve_part(
-            sub, _neighbour_masks(sub), deg, need, value_order, values, w, vals, shut, canonical
+            sub, _neighbour_masks(sub), deg, need, value_order, values, w, vals, part_gap, canonical
         )
         weight += w
         nodes += work
@@ -497,23 +538,28 @@ def _solve_part(
     values: tuple[int, ...],
     best_w: int,
     best_vals: list[int],
-    closed: bool,
+    gap: int,
     canonical: bool,
 ) -> tuple[int, list[int], int, str]:
     """`_solve_labeling` on a connected graph, from the incumbent best_w,
-    best_vals, whose root `closed` says whether it is optimal.
+    best_vals, which is optimal when the root's `gap` (see `_root_gap`) is 0
+    or less.
 
-    The main pass searches in `_degree_order`, values tried in `value_order`,
+    A sparse graph of frontier width 2 or less whose root leaves a gap
+    (`_root_route`) goes to `frontier.frontier_dp` before any search. Else
+    the main pass searches in `_degree_order`, values tried in `value_order`,
     and lowers its bound on each labeling it gets. At DP_CHECKPOINT nodes it
-    computes the frontier order once and hands over to `frontier.frontier_dp`
-    if `dp_fits` takes its width. The DP returns the lexicographically least
-    optimum; after the search, canonical=True runs a lex-first pass (index
-    order, ascending values) that takes the first optimum, with the same
-    hand-over unless the width was measured already.
+    computes the frontier order once and hands over to the DP if `dp_fits`
+    takes its width. The DP returns the lexicographically least optimum;
+    after the search, canonical=True runs a lex-first pass (index order,
+    ascending values) that takes the first optimum, with the same hand-over
+    unless the width was measured already.
     """
-    dp_order: list[int] | None = None  # set when a pass hands over
+    dp_order = _root_route(adj, degree, gap)
+    if dp_order is not None:
+        return _by_frontier_dp(adj, dp_order, values, need, 1)  # the root, priced
     nodes = 1  # a closed root
-    if not closed:
+    if gap > 0:
         bound = [best_w, 0]
         for vals in _labelings(adj, nbmask, _degree_order(degree), value_order, need, bound):
             if vals is not None:
@@ -581,10 +627,10 @@ def solve_double_roman(g: Graph, canonical: bool = False, max_n: int | None = No
     """Minimum double Roman dominating function weight with a witness.
 
     Branches in descending-degree order trying values 3, 2, 0; the witness
-    therefore never uses the value 1. Low-width graphs that outlast the
-    checkpoint, or exceed the size cap, are solved by the frontier DP over
-    {0,2,3}. With canonical=True the witness is the lexicographically least
-    optimal labeling over {0,2,3}.
+    therefore never uses the value 1. Sparse graphs of width 2 or less,
+    low-width graphs that outlast the checkpoint, and those over the size
+    cap are solved by the frontier DP over {0,2,3}. With canonical=True the
+    witness is the lexicographically least optimal labeling over {0,2,3}.
     """
     best_w, best_vals, nodes, method = _solve_labeling(
         g, 2, (3, 2, 0), canonical, _solver_cap(max_n), "solve_double_roman"

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import drd.solvers
 from drd.graph import Graph, enumerate_labeled_graphs, graph_from_edge_mask, is_connected
 from drd.labeling import DRLabeling, is_valid_drdf
 
@@ -58,6 +59,14 @@ def graphs_upto_5(graphs_upto_4) -> list[Graph]:
 @pytest.fixture(scope="session")
 def connected_upto_5(graphs_upto_5) -> list[Graph]:
     return [g for g in graphs_upto_5 if is_connected(g)]
+
+
+@pytest.fixture
+def branch_and_bound_only(monkeypatch):
+    """Turn off both hand-overs to the frontier DP, the one from the root
+    and the one at the checkpoint, so that searches run to the end."""
+    monkeypatch.setattr(drd.solvers, "ROOT_DP_MIN_N", 10**9)
+    monkeypatch.setattr(drd.solvers, "DP_CHECKPOINT", 10**9)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -18,7 +18,7 @@ import drd.solvers
 from drd.cli import build_parser, main, parse_family
 from drd.errors import InvalidSpecError
 from drd.graph import FamilySpec, parse_graph, path
-from drd.labeling import is_valid_drdf, parse_labeling
+from drd.labeling import is_valid_drdf, parse_labeling, partition
 from drd.report import load_schema
 
 
@@ -301,6 +301,22 @@ def test_check_fundamental_solves_each_invariant_once(capsys, monkeypatch):
     assert counts == {"solve_double_roman": 1, "solve_domination": 1, "solve_roman": 1}
 
 
+def test_check_fundamental_canonical_rows_read_the_canonical_witness(capsys, monkeypatch):
+    # a 16-vertex graph whose gamma_dR goes to the DP from the root; the
+    # search's witness had |V3| = 5 and |V2| = 2, the DP's has 3 and 5
+    text = "O?Y??COGG????@c@?C???"
+    argv = ["check", "fundamental", "--graph6", text, "--canonical", "--format", "json"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(drd.solvers, "ROOT_DP_MIN_N", 10**9)
+    assert run_cli(capsys, *argv) == (0, out)
+    rows = {r["id"]: r for r in json.loads(out)["results"]}
+    parts = partition(drd.solvers.solve_double_roman(parse_graph(text, "graph6"),
+                                                     canonical=True).witness)
+    assert rows["v3_at_most_slack"]["lhs"] == len(parts[3]) == 3
+    assert rows["v2_at_least_coslack"]["lhs"] == len(parts[2]) == 5
+
+
 def test_main_reuses_its_parser_without_carry_over(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "fundamental", "--family", "path:5", "--nosuch"])
@@ -320,6 +336,24 @@ def test_main_reuses_its_parser_without_carry_over(capsys):
 def test_check_cartesian_single_source_squares(capsys):
     code, doc = run_json(capsys, "check", "cartesian", "--family", "path:3")
     assert code == 0 and len(doc["results"]) == 5
+
+
+def test_check_cartesian_solves_a_repeated_factor_once(capsys, monkeypatch):
+    calls = {}
+    for name in ("solve_double_roman", "solve_domination"):
+        solve = getattr(drd.bounds, name)
+
+        def counted(g, _name=name, _solve=solve):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _solve(g)
+
+        monkeypatch.setattr(drd.bounds, name, counted)
+    # the product and P3 once each; two different factors take one more apiece
+    assert run_cli(capsys, "check", "cartesian", "--family", "path:3")[0] == 0
+    assert calls == {"solve_double_roman": 2, "solve_domination": 1}
+    calls.clear()
+    assert run_cli(capsys, "check", "cartesian", "--family", "path:3", "--family", "path:2")[0] == 0
+    assert calls == {"solve_double_roman": 3, "solve_domination": 2}
 
 
 def test_check_corona_variants(capsys):

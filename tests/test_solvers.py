@@ -270,7 +270,7 @@ def test_frontier_dp_matches_oracle_on_atlas():
             _dp_check(Graph.from_edges(atlas.number_of_nodes(), atlas.edges()))
 
 
-def test_frontier_dp_table_sizes(monkeypatch):
+def test_frontier_dp_table_sizes(branch_and_bound_only):
     # the total entries along frontier_order pin the DP's tables: every state
     # it keeps, on the atlas and on sparse graphs past the oracle's reach
     nx = pytest.importorskip("networkx")
@@ -297,8 +297,7 @@ def test_frontier_dp_table_sizes(monkeypatch):
         "domination": (41358, 2261), "roman": (66993, 3335), "double_roman": (132556, 8653),
     }
     # brute force stops at n = 12, so the sparse witnesses are checked
-    # against the branch and bound's canonical pass, with the hand-over off
-    monkeypatch.setattr(drd.solvers, "DP_CHECKPOINT", 10**9)
+    # against the branch and bound's canonical pass, with the hand-overs off
     for name, (need, values, witness) in alphabets.items():
         totals = []
         for corpus in (atlas, sparse):
@@ -334,7 +333,7 @@ def test_canonical_roman_and_double_roman_match_oracle_on_atlas():
                 assert SOLVERS[name](g, canonical=True).witness == expect, (name, g.edges())
 
 
-def test_dead_vertices_are_priced_at_the_least_nonzero_value():
+def test_dead_vertices_are_priced_at_the_least_nonzero_value(branch_and_bound_only):
     # gamma searches {0,2}: a vertex that must be nonzero costs 2, not need = 1;
     # the cheaper price finds the same value after 465 nodes
     r = solve_domination(corona(cycle(6), trivial(1)))
@@ -397,6 +396,22 @@ def test_frontier_order_matches_rescan():
         assert frontier_order(adj) == _frontier_order_by_rescan(adj), g.edges()
 
 
+def test_frontier_order_stops_past_its_limit():
+    # with a limit, the unlimited result when the width fits, else the first
+    # frontier over the limit and the order placed before it
+    nx = pytest.importorskip("networkx")
+    for a in nx.graph_atlas_g():
+        if 1 <= a.number_of_nodes() <= 7:
+            adj = _sorted_adj(Graph.from_edges(a.number_of_nodes(), a.edges()))
+            width, order = frontier_order(adj)
+            for limit in range(len(adj) + 1):
+                got, prefix = frontier_order(adj, limit)
+                if width <= limit:
+                    assert (got, prefix) == (width, order)
+                else:
+                    assert limit < got <= width and prefix == order[:len(prefix)], a.edges()
+
+
 def test_closed_forms_up_to_the_size_cap():
     for n in range(1, 31):
         assert solve_double_roman(path(n)).value == n + (n % 3 != 0), n
@@ -421,7 +436,7 @@ def test_closed_forms_past_the_size_cap():
             assert solve_double_roman(fr.graph).value == fr.value, (family, n)
 
 
-def test_route_choice(monkeypatch):
+def test_route_choice(request, monkeypatch):
     canonical = {
         ("P19", "domination"): "1,4,7,10,13,16,18",
         ("C20", "domination"): "2,5,8,11,14,17,19",
@@ -433,36 +448,44 @@ def test_route_choice(monkeypatch):
         ("G2,9", "roman"): "0,0,2,0,0,0,2,0,0,2,0,0,0,2,0,0,0,2",
         ("G2,9", "double_roman"): "0,0,3,0,0,0,3,0,0,3,0,0,0,3,0,0,0,3",
     }
-    # the counting bound closes P19 and C20 below the checkpoint; their node
-    # counts without and with the canonical pass pin its pruning
+    p19, c20, g29, cp9, cc9 = (path(19), cycle(20), grid2(9), corona(path(9), trivial(1)),
+                               corona(cycle(9), trivial(1)))
+    # sparse graphs of width <= 2 on 12 or more vertices whose greedy
+    # incumbent is 2 or more above the root bound go to the DP from the root:
+    # its entries plus the root are their nodes, and its optimum is already
+    # the canonical one, so a canonical solve costs no more
+    dp_nodes = {
+        (p19, "double_roman"): 90,
+        (g29, "domination"): 119, (g29, "roman"): 134, (g29, "double_roman"): 315,
+        (cp9, "domination"): 45, (cp9, "roman"): 54, (cp9, "double_roman"): 78,
+        (cc9, "domination"): 81, (cc9, "roman"): 132, (cc9, "double_roman"): 254,
+    }
+    for (g, name), count in dp_nodes.items():
+        plain, r = SOLVERS[name](g), SOLVERS[name](g, canonical=True)
+        assert plain.method == r.method == "frontier_dp"
+        assert (plain.nodes_explored, r.nodes_explored) == (count, count), (g.name, name)
+        assert plain.witness == r.witness
+        if (g.name, name) in canonical:
+            assert witness_text(r.witness) == canonical[g.name, name]
+    # the rest of P19 and C20 closes below the checkpoint, on a gap of 1 at
+    # most; their node counts without and with the canonical pass pin its pruning
     nodes = {
         ("P19", "domination"): (77, 97),
         ("P19", "roman"): (42, 62),
-        ("P19", "double_roman"): (244, 264),
         ("C20", "domination"): (1, 22),
         ("C20", "roman"): (1, 22),
         ("C20", "double_roman"): (83, 141),
     }
-    for g in (path(19), cycle(20)):
-        for name, solver in SOLVERS.items():
-            plain, r = solver(g), solver(g, canonical=True)
-            assert plain.method == r.method == "branch_and_bound"
-            assert plain.nodes_explored < DP_CHECKPOINT
-            assert (plain.nodes_explored, r.nodes_explored) == nodes[g.name, name]
-            assert witness_text(r.witness) == canonical[g.name, name]
-    # these outlast the checkpoint and have width <= 4
-    for g in (grid2(9), corona(path(9), trivial(1)), corona(cycle(9), trivial(1))):
-        for name, solver in SOLVERS.items():
-            plain = solver(g)
-            assert plain.method == "frontier_dp"
-            r = solver(g, canonical=True)
-            assert r.method == "frontier_dp"
-            if (g.name, name) in canonical:
-                assert witness_text(r.witness) == canonical[g.name, name]
-            # the DP's optimum is already the canonical one: no second pass
-            assert (r.nodes_explored, r.witness) == (plain.nodes_explored, plain.witness)
+    for (name_g, name), counts in nodes.items():
+        g = p19 if name_g == "P19" else c20
+        plain, r = SOLVERS[name](g), SOLVERS[name](g, canonical=True)
+        assert plain.method == r.method == "branch_and_bound"
+        assert plain.nodes_explored < DP_CHECKPOINT
+        assert (plain.nodes_explored, r.nodes_explored) == counts
+        assert witness_text(r.witness) == canonical[name_g, name]
     # gamma_R tables hold 3^w states, so width 5 (P5 x P5) still goes to the
-    # DP for gamma_R; gamma_dR's 5^5 would not (its B&B solve takes 111k nodes)
+    # DP for gamma_R at the checkpoint; gamma_dR's 5^5 would not (its B&B solve
+    # takes 111k nodes)
     square = cartesian_product(path(5), path(5))
     assert frontier_order(_sorted_adj(square))[0] == 5
     assert dp_fits(5, 1) and not dp_fits(5, 2) and dp_fits(4, 2)
@@ -487,6 +510,50 @@ def test_route_choice(monkeypatch):
         for solver in (solve_roman, solve_double_roman):
             r = solver(g)
             assert r.method == "branch_and_bound" and r.nodes_explored < DP_CHECKPOINT
+    # without the root route the families outlast the checkpoint and go to
+    # the same DP there, the checkpoint's nodes thrown away
+    monkeypatch.setattr(drd.solvers, "ROOT_DP_MIN_N", 10**9)
+    for (g, name), count in dp_nodes.items():
+        if g is not p19:
+            plain, r = SOLVERS[name](g), SOLVERS[name](g, canonical=True)
+            assert plain.method == r.method == "frontier_dp"
+            assert (plain.nodes_explored, r.nodes_explored) == (count + 249, count + 249)
+            assert plain.witness == r.witness
+    # P19's gamma_dR finishes on branch and bound when no route hands over
+    request.getfixturevalue("branch_and_bound_only")
+    plain, r = solve_double_roman(p19), solve_double_roman(p19, canonical=True)
+    assert plain.method == r.method == "branch_and_bound"
+    assert (plain.nodes_explored, r.nodes_explored) == (244, 264)
+    assert witness_text(r.witness) == canonical["P19", "double_roman"]
+
+
+def test_root_route_matches_branch_and_bound(request, monkeypatch):
+    # sparse connected graphs on 12-22 vertices, random trees with up to three
+    # more edges: most of their solves go to the DP from the root (the
+    # checkpoint's hand-over is off), and each value and canonical witness
+    # must be the one the search finds with no hand-over
+    rng = random.Random(21)
+    corpus = []
+    for _ in range(40):
+        n = rng.randint(12, 22)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        for _ in range(rng.randint(0, 3)):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        corpus.append(Graph.from_edges(n, sorted(edges)))
+    monkeypatch.setattr(drd.solvers, "DP_CHECKPOINT", 10**9)
+    routed = {}
+    for g in corpus:
+        for name, solver in SOLVERS.items():
+            r = solver(g, canonical=True)
+            if r.method == "frontier_dp":
+                routed[g, name] = r
+    assert len(routed) == 78
+    request.getfixturevalue("branch_and_bound_only")
+    for (g, name), r in routed.items():
+        slow = SOLVERS[name](g, canonical=True)
+        assert slow.method == "branch_and_bound"
+        assert (slow.value, slow.witness) == (r.value, r.witness), (name, g.edges())
 
 
 def test_canonical_pass_hands_over(monkeypatch):
@@ -510,12 +577,11 @@ def test_canonical_pass_hands_over(monkeypatch):
     assert slow.witness == r.witness
 
 
-def test_pruning_pins_on_sparse_graphs(monkeypatch):
+def test_pruning_pins_on_sparse_graphs(branch_and_bound_only):
     # B&B nodes of the main pass and of the canonical pass over a seeded
-    # sparse corpus, with the DP hand-over off: each pruning test, and the
+    # sparse corpus, with the DP hand-overs off: each pruning test, and the
     # order the search makes them in, shows in these totals. 21 of the 30
     # graphs are disconnected, so the totals count their components' searches
-    monkeypatch.setattr(drd.solvers, "DP_CHECKPOINT", 10**9)
     rng = random.Random(13)
     corpus = []
     for _ in range(30):
