@@ -1,13 +1,13 @@
 """Exact domination, Roman and double Roman domination by dynamic
 programming along a vertex order of small frontier width.
 
-`solvers` sends a connected component here before any search when it is
-sparse, has 12 or more vertices, leaves a root gap of 2 or more and has
-frontier width 2 or less, which `frontier_order` probes with a limit that
-stops it at the first wider frontier. A branch-and-bound pass hands a graph
-over when its search runs long, and a graph over the size cap comes here
-directly, in both cases when `frontier_order` finds a width that
-`solvers.dp_fits` allows. The DP returns the lexicographically least
+`solvers` chooses each connected component's route once, at its root: a
+component with 14 or more vertices that leaves a root gap of 2 or more comes
+here before any search when `frontier_order`, probed with a limit that stops
+it at the first wider frontier, finds a width `solvers.dp_width` allows (5
+for domination and Roman, 4 for double Roman); every other component is
+searched to the end. A graph over the size cap comes here whole, by the
+same probe, or is refused. The DP returns the lexicographically least
 optimum, so a canonical solve needs no second pass. The module is imported
 only then, so a process that solves nothing large does not pay to load it.
 """

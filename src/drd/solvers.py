@@ -7,10 +7,10 @@ agreement between them is meaningful evidence of correctness. The engine
 differs between the invariants only in the alphabet, the value order and how
 much neighbor credit a 0-vertex needs: a dominating set is a {0,2} labeling
 of twice its size. The engine also lists every minimum DRDF. An exact
-frontier DP (module `frontier`) solves a sparse graph of frontier width 2 or
-less before any search, and finishes the job when a search runs long on a
-graph of small frontier width; it is a third route, tested against the
-oracle on its own.
+frontier DP (module `frontier`) is a third route, tested against the oracle
+on its own. Each connected component's route is chosen once, at its root:
+one of small frontier width that leaves a root gap goes to the DP before
+any search, and every other one is searched to the end.
 
 The three conditions are all on closed neighbourhoods, so a solve within
 the size cap takes each connected component on its own: the weights add
@@ -62,15 +62,21 @@ class SolveResult(NamedTuple):
 
 
 def _solver_cap(max_n: int | None) -> int:
-    if max_n is not None:
-        return max_n
-    raw = os.environ.get(MAX_N_ENV)
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidArgumentsError(f"{MAX_N_ENV} must be an integer, got {raw!r}") from None
+    """The size cap: `max_n` (the --max-n flag), else $DRD_MAX_N, else
+    DEFAULT_MAX_N. A cap of 0 leaves only the DP; a negative one is refused."""
+    source = "max_n (--max-n)"
+    if max_n is None:
+        raw = os.environ.get(MAX_N_ENV)
+        if raw is None:
+            return DEFAULT_MAX_N
+        source = MAX_N_ENV
+        try:
+            max_n = int(raw)
+        except ValueError:
+            raise InvalidArgumentsError(f"{MAX_N_ENV} must be an integer, got {raw!r}") from None
+    if max_n < 0:
+        raise InvalidArgumentsError(f"{source} must be 0 or more, got {max_n}")
+    return max_n
 
 
 def _check_cap(n: int, cap: int, what: str):
@@ -81,7 +87,7 @@ def _check_cap(n: int, cap: int, what: str):
 def check_solver_cap(g: Graph, need: int, what: str) -> None:
     """Raise the ResourceLimitError that solver ``what`` (the one for `need`)
     would raise on g under the default cap, without solving anything: over
-    the cap only graphs whose frontier width `dp_fits` are solved."""
+    the cap a graph is solved only when `_dp_order` finds it an order."""
     cap = _solver_cap(None)
     if g.n > cap and _dp_order(_sorted_adj(g), need) is None:
         _check_cap(g.n, cap, what)
@@ -135,72 +141,45 @@ def greedy_dominating_set(g: Graph) -> frozenset[int]:
 
 GAIN = (0, 0, 1, 2)
 
-# The main pass measures the frontier width once it has explored this many
-# nodes (every connected graph on <= 6 vertices needs at most 72, canonical
-# pass included), and hands over to the frontier DP when a step's table holds
-# at most DP_MAX_STATES entries. A frontier vertex has 2 * need + 1 states, so
-# the DP takes widths <= 5 for domination and Roman (3^5 = 243) and <= 4 for
-# double Roman (5^4 = 625). A higher value hands fewer random graphs to a DP
-# that can cost more than the search it replaces, a lower one hands the
-# paper's families over sooner. Timed per command (best of 9 for the
-# families, 5 otherwise) over the benchmark's seed-1 lists on a 2-core Xeon
-# under Python 3.11, at 150, 200, 250, 300 and 500: a families pass took
-# 15.1-15.7, 15.9-16.6, 17.1-17.2, 17.5-18.2 and 20.4-20.7 ms, a
-# random-graphs pass 220.5, 219.0, 216.5, 217.1 and 216.9 ms, and a pair-scan
-# pass 33.6-34.4 ms at all five. 250 is the lowest value that slows no
-# workload, and it leaves the searches that P19 and C20 finish below 250
-# nodes (P19's gamma_dR takes 244) on branch and bound; that sweep ran
-# without the route from the root below, which now takes P19's gamma_dR.
-DP_CHECKPOINT = 250
+# The frontier DP keeps at most DP_MAX_STATES states per step. A frontier
+# vertex has 2 * need + 1 states, so it takes widths <= 5 for domination and
+# Roman (3^5 = 243) and <= 4 for double Roman (5^4 = 625).
 DP_MAX_STATES = 5**4
 # A connected graph goes to the DP from the root, with no search at all, when
 # it has ROOT_DP_MIN_N vertices or more, its greedy incumbent lies
-# ROOT_DP_MIN_GAP or more above the root bound and its frontier width is
-# ROOT_DP_WIDTH or less (see `_root_route`): the paper's products and coronas
-# of paths and cycles, whose searches otherwise throw away DP_CHECKPOINT
-# nodes before the same DP. Timed the same way (best of 9 per command over
-# the families list, best of 9 over random-graphs passes 0-3), one setting
-# moved at a time from 12, 2 and 2: a families pass took 10.85-10.92 ms with
-# the route off; 8.30-8.37, 8.15-8.25, 8.08-8.29, 8.47-8.66 and 8.74-8.81 ms
-# at a least n of 8, 10, 12, 14 and 16; 8.52-8.65 and 8.40-8.41 ms at a gap
-# of 1 and 3 (a gap of 1 takes P19's gamma and gamma_R, which the search
-# closes in under 100 nodes, to the DP); 10.53-10.69 and 8.04-8.12 ms at a
-# width of 1 and 3. A random-graphs pass took 143.3-145.2 ms in every
-# setting, the route off included. 12 probes 212 of its 1,774 components
-# over the four passes and 10 probes 290, for no gain; a width of 3 ties
-# with 2 on both lists, and 2 keeps every table at 25 states or fewer.
-ROOT_DP_MIN_N = 12
+# ROOT_DP_MIN_GAP or more above the root bound and the DP takes its frontier
+# width (see `_dp_order`); every other graph is searched to the end. A width
+# 4 or 5 DP can cost more than a search of about 100 nodes, so a lower least
+# n trades the median solve for the long ones. Timed per command (best of 7,
+# through `cli.main`) over the benchmark's seed-1 lists on a 2-core Xeon under
+# Python 3.11, at a least n of 12, 13, 14 and 16, with the earlier route in
+# brackets (width <= 2 from the root, else a hand-over after 250 search
+# nodes): the random-graphs passes 0-3 took 0.574, 0.576, 0.574 and 0.575 s
+# (0.575), with a median command of 0.330, 0.324, 0.315 and 0.310 ms (0.308)
+# and a 97th percentile of 1.14, 1.12, 1.19 and 1.31 ms (1.31); a families
+# pass took 7.9, 8.2, 8.4 and 8.9 ms (8.3), `check grids` most of the spread.
+ROOT_DP_MIN_N = 14
 ROOT_DP_MIN_GAP = 2
-ROOT_DP_WIDTH = 2
 
 
-def dp_fits(width: int, need: int) -> bool:
-    """Whether the frontier DP for `need` takes a vertex order of this width."""
-    return (2 * need + 1) ** width <= DP_MAX_STATES
+def dp_width(need: int) -> int:
+    """The widest vertex order the frontier DP for `need` takes."""
+    w = 0
+    while (2 * need + 1) ** (w + 1) <= DP_MAX_STATES:
+        w += 1
+    return w
 
 
 def _dp_order(adj: tuple[tuple[int, ...], ...], need: int) -> list[int] | None:
-    """The frontier order to solve along when `dp_fits` takes its width, else None."""
-    from .frontier import frontier_order  # loaded late: most solves never get here
-
-    width, order = frontier_order(adj)
-    return order if dp_fits(width, need) else None
-
-
-def _root_route(
-    adj: tuple[tuple[int, ...], ...], degree: list[int], gap: int
-) -> list[int] | None:
-    """The order to solve a connected graph along by the DP before any
-    search, when the root's `gap` is ROOT_DP_MIN_GAP or more, it has
-    ROOT_DP_MIN_N vertices or more and `frontier_order` finds width
-    ROOT_DP_WIDTH or less, else None. An order of width w places each vertex
-    next to at most w earlier ones, so a graph with more than
-    w * n - w * (w + 1) / 2 edges is refused without a probe; the probe of a
-    wider graph stops at the first frontier over w."""
-    n, w = len(adj), ROOT_DP_WIDTH
-    if gap < ROOT_DP_MIN_GAP or n < ROOT_DP_MIN_N or sum(degree) > w * (2 * n - w - 1):
+    """The frontier order to solve along when the DP takes its width, else
+    None. An order of width w places each vertex next to at most w earlier
+    ones, so a graph with more than w * n - w * (w + 1) / 2 edges is refused
+    without a probe; the probe of a wider graph stops at the first frontier
+    over w."""
+    n, w = len(adj), dp_width(need)
+    if n > w and sum(map(len, adj)) > w * (2 * n - w - 1):
         return None
-    from .frontier import frontier_order
+    from .frontier import frontier_order  # loaded late: most solves never get here
 
     width, order = frontier_order(adj, w)
     return order if width <= w else None
@@ -256,13 +235,13 @@ def _labelings(
     value_order: tuple[int, ...],
     need: int,
     bound: list[int],
-) -> Iterator[list[int] | None]:
+) -> Iterator[list[int]]:
     """DFS over `value_order` assignments in `order`, on an explicit stack,
     with nbmask = `_neighbour_masks(adj)`.
 
     Yields a copy of every complete labeling lighter than bound[0] as it
-    meets them (the caller may lower bound[0] in between), and None once, at
-    DP_CHECKPOINT nodes; a caller that stops iterating abandons the search.
+    meets them (the caller may lower bound[0] in between); a caller that
+    stops iterating abandons the search.
     bound[1] is the node count, up to date at every yield and at the end.
     With values ascending and bound[0] = opt + 1, the first labeling yielded
     is the lexicographically least optimum. The root is not priced here:
@@ -360,9 +339,6 @@ def _labelings(
             if lost & done:
                 continue  # not a node
             nodes += 1  # a node: order[:depth + 1] is assigned
-            if nodes == DP_CHECKPOINT:
-                bound[1] = nodes
-                yield None
             if depth + 1 == n:
                 if c < best:
                     vals[w] = x
@@ -467,20 +443,21 @@ def _solve_labeling(
 ) -> tuple[int, list[int], int, str]:
     """Weight, values, work and method of a minimum labeling for `need`.
 
-    Above `cap` vertices there is no search: the graph goes to the DP if its
-    width fits and is refused if not, whether it is connected or not. Within
-    the cap, the root is priced first (`_root_gap`) against an incumbent
-    that puts the top value on a greedy dominating set, before any mask is
-    built; a root that closes ends a solve that is not canonical. Then the
-    graph splits into its connected components, found on the neighbour
-    masks. The three invariants are sums of conditions on closed
-    neighbourhoods, so the weights add up, and the lexicographically least
-    optimum is the merge of each component's own least optimum. An isolated
-    vertex takes the least nonzero value, with no search. Every other
-    component, relabelled in ascending index order, goes through
-    `_solve_part` on its own (a connected graph whole, with the masks built
-    here). `nodes` sums the components' work, and the isolated vertices
-    count as one root node between them, so it is at least 1. `method` is
+    Above `cap` vertices there is no search: the graph goes to the DP if
+    `_dp_order` finds it an order and is refused if not, whether it is
+    connected or not. Within the cap, the root is priced first
+    (`_root_gap`) against an incumbent that puts the top value on a greedy
+    dominating set, before any mask is built; a root that closes ends a
+    solve that is not canonical. Then the graph splits into its connected
+    components, found on the neighbour masks. The three invariants are sums
+    of conditions on closed neighbourhoods, so the weights add up, and the
+    lexicographically least optimum is the merge of each component's own
+    least optimum. An isolated vertex takes the least nonzero value, with
+    no search. Every other component, relabelled in ascending index order,
+    goes through `_solve_part` on its own (a connected graph whole, with
+    the masks built here), which chooses its route once, at its root.
+    `nodes` sums the components' work, and the isolated vertices count as
+    one root node between them, so it is at least 1. `method` is
     frontier_dp when the DP finished any component, else branch_and_bound.
     """
     adj = _sorted_adj(g)
@@ -545,44 +522,33 @@ def _solve_part(
     best_vals, which is optimal when the root's `gap` (see `_root_gap`) is 0
     or less.
 
-    A sparse graph of frontier width 2 or less whose root leaves a gap
-    (`_root_route`) goes to `frontier.frontier_dp` before any search. Else
-    the main pass searches in `_degree_order`, values tried in `value_order`,
-    and lowers its bound on each labeling it gets. At DP_CHECKPOINT nodes it
-    computes the frontier order once and hands over to the DP if `dp_fits`
-    takes its width. The DP returns the lexicographically least optimum;
-    after the search, canonical=True runs a lex-first pass (index order,
-    ascending values) that takes the first optimum, with the same hand-over
-    unless the width was measured already.
+    The route is chosen once, at the root. A graph with ROOT_DP_MIN_N
+    vertices or more whose root leaves a gap of ROOT_DP_MIN_GAP or more goes
+    to `frontier.frontier_dp` when the DP takes its width (`_dp_order`), and
+    no search runs: the DP returns the lexicographically least optimum, so a
+    canonical solve needs no second pass. Any other graph is searched to the
+    end. The main pass searches in `_degree_order`, values tried in
+    `value_order`, and lowers its bound on each labeling it gets; then
+    canonical=True runs a lex-first pass (index order, ascending values) at
+    the optimum plus one and takes its first labeling.
     """
-    dp_order = _root_route(adj, degree, gap)
-    if dp_order is not None:
-        return _by_frontier_dp(adj, dp_order, values, need, 1)  # the root, priced
+    if gap >= ROOT_DP_MIN_GAP and len(adj) >= ROOT_DP_MIN_N:
+        dp_order = _dp_order(adj, need)
+        if dp_order is not None:
+            return _by_frontier_dp(adj, dp_order, values, need, 1)  # the root, priced
     nodes = 1  # a closed root
     if gap > 0:
         bound = [best_w, 0]
-        for vals in _labelings(adj, nbmask, _degree_order(degree), value_order, need, bound):
-            if vals is not None:
-                best_w = bound[0] = sum(vals)
-                best_vals = vals
-            elif (dp_order := _dp_order(adj, need)) is not None:
-                break
+        # best_vals stays the incumbent unless the search finds a lighter one
+        for best_vals in _labelings(adj, nbmask, _degree_order(degree), value_order, need, bound):
+            best_w = bound[0] = sum(best_vals)
         nodes = bound[1]
-    if canonical and dp_order is None:
-        measured = nodes >= DP_CHECKPOINT  # the main pass found the width too large
+    if canonical:
         bound = [best_w + 1, 0]
-        best_vals = None
-        for vals in _labelings(adj, nbmask, list(range(len(adj))), values, need, bound):
-            if vals is not None:
-                best_vals = vals
-                break
-            if not measured and (dp_order := _dp_order(adj, need)) is not None:
-                break
+        best_vals = next(_labelings(adj, nbmask, list(range(len(adj))), values, need, bound), None)
         nodes += bound[1]
-    if dp_order is not None:
-        return _by_frontier_dp(adj, dp_order, values, need, nodes)
-    if best_vals is None:
-        raise DrdError("canonical pass failed to rediscover the optimum")
+        if best_vals is None:
+            raise DrdError("canonical pass failed to rediscover the optimum")
     return best_w, best_vals, nodes, "branch_and_bound"
 
 
@@ -627,9 +593,10 @@ def solve_double_roman(g: Graph, canonical: bool = False, max_n: int | None = No
     """Minimum double Roman dominating function weight with a witness.
 
     Branches in descending-degree order trying values 3, 2, 0; the witness
-    therefore never uses the value 1. Sparse graphs of width 2 or less,
-    low-width graphs that outlast the checkpoint, and those over the size
-    cap are solved by the frontier DP over {0,2,3}. With canonical=True the
+    therefore never uses the value 1. Components on ROOT_DP_MIN_N or more
+    vertices of frontier width 4 or less whose root leaves a gap, and graphs
+    of that width over the size cap, are solved by the frontier DP over
+    {0,2,3}. With canonical=True the
     witness is the lexicographically least optimal labeling over {0,2,3}.
     """
     best_w, best_vals, nodes, method = _solve_labeling(
@@ -729,7 +696,7 @@ def enumerate_min_drdfs(g: Graph, opt: int | None = None) -> Iterator[DRLabeling
         opt = solve_double_roman(g, max_n=g.n).value
     adj = _sorted_adj(g)
     found = _labelings(adj, _neighbour_masks(adj), list(range(g.n)), (0, 2, 3), 2, [opt + 1, 0])
-    minima = [DRLabeling(tuple(vals)) for vals in found if vals is not None]
+    minima = [DRLabeling(tuple(vals)) for vals in found]
     if not minima or any(f.weight != opt or not is_valid_drdf(g, f) for f in minima):
         raise DrdError(f"minimum enumeration found no valid minima of weight {opt}")
     return iter(minima)

@@ -63,10 +63,9 @@ def connected_upto_5(graphs_upto_5) -> list[Graph]:
 
 @pytest.fixture
 def branch_and_bound_only(monkeypatch):
-    """Turn off both hand-overs to the frontier DP, the one from the root
-    and the one at the checkpoint, so that searches run to the end."""
+    """Turn off the route to the frontier DP from the root, so that every
+    solve within the size cap is searched."""
     monkeypatch.setattr(drd.solvers, "ROOT_DP_MIN_N", 10**9)
-    monkeypatch.setattr(drd.solvers, "DP_CHECKPOINT", 10**9)
 
 
 def pytest_terminal_summary(terminalreporter):

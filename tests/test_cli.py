@@ -90,7 +90,27 @@ def test_compute_cap_exit_code(capsys):
     assert "n <= 30" in capsys.readouterr().err
 
 
-def test_compute_over_cap_goes_to_the_frontier_dp(capsys):
+@pytest.mark.parametrize("family, flags, env, source", [
+    ("kn:7", ["--max-n", "-1"], None, "max_n (--max-n)"),
+    ("path:5", ["--max-n", "-3"], None, "max_n (--max-n)"),
+    ("kn:7", [], "-2", "DRD_MAX_N"),
+    ("path:5", [], "-1", "DRD_MAX_N"),
+])
+def test_negative_cap_is_refused(capsys, monkeypatch, family, flags, env, source):
+    # a negative cap is a usage error naming its source, not a cap that
+    # refuses every graph or one that is read as 0
+    if env is None:
+        monkeypatch.delenv("DRD_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("DRD_MAX_N", env)
+    cap = flags[-1] if flags else env
+    assert main(["compute", "--family", family, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {source} must be 0 or more, got {cap}\n"
+
+
+def test_compute_over_cap_goes_to_the_frontier_dp(capsys, monkeypatch):
     code, doc = run_json(
         capsys, "compute", "--family", "path:200", "--invariant", "gdr", "--canonical"
     )
@@ -100,6 +120,14 @@ def test_compute_over_cap_goes_to_the_frontier_dp(capsys):
     assert witness.weight == 201 and is_valid_drdf(path(200), witness).valid
     # width 0: the graph goes to the frontier DP without a search
     assert main(["compute", "--family", "trivial:1500"]) == 0
+    capsys.readouterr()
+    # a cap of 0, from the flag or the variable, leaves the DP alone
+    monkeypatch.delenv("DRD_MAX_N", raising=False)
+    code, doc = run_json(capsys, "compute", "--family", "path:5", "--max-n", "0")
+    assert code == 0 and doc["results"][0]["value"] == 6
+    monkeypatch.setenv("DRD_MAX_N", "0")
+    code, doc = run_json(capsys, "compute", "--family", "path:5")
+    assert code == 0 and doc["results"][0]["value"] == 6
 
 
 def test_compute_deep_search(capsys):

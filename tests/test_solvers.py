@@ -10,7 +10,6 @@ import tracemalloc
 import pytest
 
 import drd.bounds
-import drd.solvers
 from drd.errors import InvalidArgumentsError, ResourceLimitError
 from drd.formulas import gamma_dr_corona_k1, gamma_dr_cycle, gamma_dr_grid2
 from drd.frontier import frontier_dp, frontier_order
@@ -33,13 +32,12 @@ from drd.labeling import DRLabeling, RomanLabeling, is_dominating, is_valid_drdf
 from drd.report import witness_text
 from drd.solvers import (
     BRUTE_MAX_N_REDUCED,
-    DP_CHECKPOINT,
     _degree_order,
     _labelings,
     _neighbour_masks,
     _sorted_adj,
     brute_force,
-    dp_fits,
+    dp_width,
     enumerate_min_drdfs,
     greedy_dominating_set,
     solve_domination,
@@ -67,9 +65,8 @@ def _engine_labelings(g, need, value_order, order, best):
     bound = [best, 0]
     found = []
     for vals in _labelings(adj, _neighbour_masks(adj), order, value_order, need, bound):
-        if vals is not None:
-            found.append(vals)
-            bound[0] = sum(vals)
+        found.append(vals)
+        bound[0] = sum(vals)
     return found, bound[1]
 
 
@@ -297,7 +294,7 @@ def test_frontier_dp_table_sizes(branch_and_bound_only):
         "domination": (41358, 2261), "roman": (66993, 3335), "double_roman": (132556, 8653),
     }
     # brute force stops at n = 12, so the sparse witnesses are checked
-    # against the branch and bound's canonical pass, with the hand-overs off
+    # against the branch and bound's canonical pass, with the root route off
     for name, (need, values, witness) in alphabets.items():
         totals = []
         for corpus in (atlas, sparse):
@@ -450,8 +447,13 @@ def test_route_choice(request, monkeypatch):
     }
     p19, c20, g29, cp9, cc9 = (path(19), cycle(20), grid2(9), corona(path(9), trivial(1)),
                                corona(cycle(9), trivial(1)))
-    # sparse graphs of width <= 2 on 12 or more vertices whose greedy
-    # incumbent is 2 or more above the root bound go to the DP from the root:
+    # gamma_R tables hold 3^w states and gamma_dR tables 5^w, so the DP takes
+    # width 5 (P5 x P5) for gamma and gamma_R but not for gamma_dR
+    square = cartesian_product(path(5), path(5))
+    assert frontier_order(_sorted_adj(square))[0] == 5
+    assert (dp_width(1), dp_width(2)) == (5, 4)
+    # graphs on 14 or more vertices whose greedy incumbent is 2 or more above
+    # the root bound go to the DP from the root when it takes their width:
     # its entries plus the root are their nodes, and its optimum is already
     # the canonical one, so a canonical solve costs no more
     dp_nodes = {
@@ -459,6 +461,7 @@ def test_route_choice(request, monkeypatch):
         (g29, "domination"): 119, (g29, "roman"): 134, (g29, "double_roman"): 315,
         (cp9, "domination"): 45, (cp9, "roman"): 54, (cp9, "double_roman"): 78,
         (cc9, "domination"): 81, (cc9, "roman"): 132, (cc9, "double_roman"): 254,
+        (square, "domination"): 1_564, (square, "roman"): 1_925,
     }
     for (g, name), count in dp_nodes.items():
         plain, r = SOLVERS[name](g), SOLVERS[name](g, canonical=True)
@@ -467,59 +470,53 @@ def test_route_choice(request, monkeypatch):
         assert plain.witness == r.witness
         if (g.name, name) in canonical:
             assert witness_text(r.witness) == canonical[g.name, name]
-    # the rest of P19 and C20 closes below the checkpoint, on a gap of 1 at
-    # most; their node counts without and with the canonical pass pin its pruning
+    assert solve_roman(square).value == 14
+    r = solve_double_roman(square)
+    assert (r.value, r.method, r.nodes_explored) == (19, "branch_and_bound", 111_067)
+    # the rest of P19 and C20, and paths and cycles on 200 vertices, leave a
+    # gap of 1 at most and are searched to the end; the node counts without
+    # and with the canonical pass pin the pruning, so a regression fails here
+    # instead of running on
+    graphs = {"P19": p19, "C20": c20, "P200": path(200), "C200": cycle(200)}
     nodes = {
         ("P19", "domination"): (77, 97),
         ("P19", "roman"): (42, 62),
         ("C20", "domination"): (1, 22),
         ("C20", "roman"): (1, 22),
         ("C20", "double_roman"): (83, 141),
+        ("P200", "domination"): (1, 202),
+        ("P200", "roman"): (1, 202),
+        ("P200", "double_roman"): (2_353, 2_554),
+        ("C200", "domination"): (1, 202),
+        ("C200", "roman"): (1, 202),
+        ("C200", "double_roman"): (953, 1_611),
     }
     for (name_g, name), counts in nodes.items():
-        g = p19 if name_g == "P19" else c20
-        plain, r = SOLVERS[name](g), SOLVERS[name](g, canonical=True)
+        g = graphs[name_g]
+        plain, r = SOLVERS[name](g, max_n=1000), SOLVERS[name](g, canonical=True, max_n=1000)
         assert plain.method == r.method == "branch_and_bound"
-        assert plain.nodes_explored < DP_CHECKPOINT
-        assert (plain.nodes_explored, r.nodes_explored) == counts
-        assert witness_text(r.witness) == canonical[name_g, name]
-    # gamma_R tables hold 3^w states, so width 5 (P5 x P5) still goes to the
-    # DP for gamma_R at the checkpoint; gamma_dR's 5^5 would not (its B&B solve
-    # takes 111k nodes)
-    square = cartesian_product(path(5), path(5))
-    assert frontier_order(_sorted_adj(square))[0] == 5
-    assert dp_fits(5, 1) and not dp_fits(5, 2) and dp_fits(4, 2)
-    r = solve_roman(square)
-    assert r.method == "frontier_dp" and r.value == 14
-    # a wider graph (the 4x4 torus) outlasts the checkpoint on branch and bound
+        assert (plain.nodes_explored, r.nodes_explored) == counts, (name_g, name)
+        assert plain.value == r.value
+        if (name_g, name) in canonical:
+            assert witness_text(r.witness) == canonical[name_g, name]
+    # a wider graph (the 4x4 torus) is searched to the end
     torus = cartesian_product(cycle(4), cycle(4))
-    width = frontier_order(_sorted_adj(torus))[0]
-    assert width == 7 and not dp_fits(width, 1) and not dp_fits(width, 2)
+    assert frontier_order(_sorted_adj(torus))[0] == 7
     # its node counts, canonical pass included, pin the search's pruning
     nodes = {solve_roman: (693, 801), solve_double_roman: (751, 1446)}
     for solver, counts in nodes.items():
         r = solver(torus)
-        assert r.method == "branch_and_bound" and DP_CHECKPOINT < r.nodes_explored
+        assert r.method == "branch_and_bound"
         assert (r.nodes_explored, solver(torus, canonical=True).nodes_explored) == counts
-    # the pair scan's class representatives all finish below the checkpoint
+    # the pair scan's class representatives are too small for the DP
     reps = []
     monkeypatch.setattr(drd.bounds, "solve_roman", lambda g: reps.append(g) or solve_roman(g))
     assert drd.bounds.scan_pair_realizability(2, 4, n_max=6).found is None
     assert len(reps) == 143
     for g in reps:
         for solver in (solve_roman, solve_double_roman):
-            r = solver(g)
-            assert r.method == "branch_and_bound" and r.nodes_explored < DP_CHECKPOINT
-    # without the root route the families outlast the checkpoint and go to
-    # the same DP there, the checkpoint's nodes thrown away
-    monkeypatch.setattr(drd.solvers, "ROOT_DP_MIN_N", 10**9)
-    for (g, name), count in dp_nodes.items():
-        if g is not p19:
-            plain, r = SOLVERS[name](g), SOLVERS[name](g, canonical=True)
-            assert plain.method == r.method == "frontier_dp"
-            assert (plain.nodes_explored, r.nodes_explored) == (count + 249, count + 249)
-            assert plain.witness == r.witness
-    # P19's gamma_dR finishes on branch and bound when no route hands over
+            assert solver(g).method == "branch_and_bound"
+    # P19's gamma_dR finishes on branch and bound without the root route
     request.getfixturevalue("branch_and_bound_only")
     plain, r = solve_double_roman(p19), solve_double_roman(p19, canonical=True)
     assert plain.method == r.method == "branch_and_bound"
@@ -527,28 +524,49 @@ def test_route_choice(request, monkeypatch):
     assert witness_text(r.witness) == canonical["P19", "double_roman"]
 
 
-def test_root_route_matches_branch_and_bound(request, monkeypatch):
+def _three_path(n, rng):
+    """A 3-tree grown along a path: each new vertex joins the last triangle,
+    which then drops a random member for it."""
+    clique = [0, 1, 2]
+    edges = [(0, 1), (0, 2), (1, 2)]
+    for v in range(3, n):
+        edges += [(u, v) for u in clique]
+        clique.remove(rng.choice(clique))
+        clique.append(v)
+    return Graph.from_edges(n, edges)
+
+
+def test_dp_from_the_root_matches_branch_and_bound(request):
     # sparse connected graphs on 12-22 vertices, random trees with up to three
-    # more edges: most of their solves go to the DP from the root (the
-    # checkpoint's hand-over is off), and each value and canonical witness
-    # must be the one the search finds with no hand-over
+    # more edges, then graphs of frontier width 3-5: P3 x Pn, P4 x Pn,
+    # P5 x P5, the double corona of C6 and seeded 3-paths. Many of their
+    # solves go to the DP from the root, and each value and canonical witness
+    # must be the one the search finds without the route
     rng = random.Random(21)
-    corpus = []
+    trees = []
     for _ in range(40):
         n = rng.randint(12, 22)
         edges = {(rng.randrange(v), v) for v in range(1, n)}
         for _ in range(rng.randint(0, 3)):
             u, v = sorted(rng.sample(range(n), 2))
             edges.add((u, v))
-        corpus.append(Graph.from_edges(n, sorted(edges)))
-    monkeypatch.setattr(drd.solvers, "DP_CHECKPOINT", 10**9)
+        trees.append(Graph.from_edges(n, sorted(edges)))
+    wide = [cartesian_product(path(k), path(n)) for k in (3, 4) for n in range(2, 8)]
+    wide.append(cartesian_product(path(5), path(5)))
+    double_corona = corona(corona(cycle(6), trivial(1)), trivial(1))
+    wide.append(double_corona)
+    rng = random.Random(23)
+    wide += [_three_path(n, rng) for n in range(18, 25)]
     routed = {}
-    for g in corpus:
-        for name, solver in SOLVERS.items():
-            r = solver(g, canonical=True)
-            if r.method == "frontier_dp":
-                routed[g, name] = r
-    assert len(routed) == 78
+    for corpus, count in ((trees, 84), (wide, 39)):
+        before = len(routed)
+        for g in corpus:
+            for name, solver in SOLVERS.items():
+                r = solver(g, canonical=True)
+                if r.method == "frontier_dp":
+                    routed[g, name] = r
+        assert len(routed) - before == count
+    assert routed[double_corona, "double_roman"].nodes_explored == 431
     request.getfixturevalue("branch_and_bound_only")
     for (g, name), r in routed.items():
         slow = SOLVERS[name](g, canonical=True)
@@ -556,22 +574,21 @@ def test_root_route_matches_branch_and_bound(request, monkeypatch):
         assert (slow.value, slow.witness) == (r.value, r.witness), (name, g.edges())
 
 
-def test_canonical_pass_hands_over(monkeypatch):
-    # a connected graph (21 vertices, 22 edges) whose main pass ends below the
-    # checkpoint, so the width is unmeasured; the canonical pass measures it at
-    # the checkpoint (220 + 250 nodes) and hands over to a width-3 DP of 182
-    # entries
+def test_canonical_pass_on_a_routed_graph(request):
+    # a connected graph (21 vertices, 22 edges) of frontier width 3: gamma_R
+    # goes to the DP from the root, 182 entries plus the root, canonical solve
+    # included
     g = parse_graph("Th_GK?G@?G?@?_C??_??O?O??G?@G???E??C", "graph6")
     assert (g.n, len(g.edges()), is_connected(g)) == (21, 22, True)
     plain, r = solve_roman(g), solve_roman(g, canonical=True)
-    assert (plain.nodes_explored, plain.method) == (220, "branch_and_bound")
-    assert (r.nodes_explored, r.method) == (652, "frontier_dp")
+    assert (plain.nodes_explored, plain.method) == (183, "frontier_dp")
+    assert (r.nodes_explored, r.method) == (183, "frontier_dp")
     adj = _sorted_adj(g)
     width, order = frontier_order(adj)
     assert width == 3
     assert frontier_dp(adj, order, (0, 1, 2), 1) == (12, list(r.witness.values), 182)
-    # without the hand-over the index-order search takes 5,858 nodes to the same witness
-    monkeypatch.setattr(drd.solvers, "DP_CHECKPOINT", 10**9)
+    # without the route the index-order search takes 5,858 nodes to the same witness
+    request.getfixturevalue("branch_and_bound_only")
     slow = solve_roman(g, canonical=True)
     assert (slow.nodes_explored, slow.method) == (6_078, "branch_and_bound")
     assert slow.witness == r.witness
@@ -579,7 +596,7 @@ def test_canonical_pass_hands_over(monkeypatch):
 
 def test_pruning_pins_on_sparse_graphs(branch_and_bound_only):
     # B&B nodes of the main pass and of the canonical pass over a seeded
-    # sparse corpus, with the DP hand-overs off: each pruning test, and the
+    # sparse corpus, with the root route off: each pruning test, and the
     # order the search makes them in, shows in these totals. 21 of the 30
     # graphs are disconnected, so the totals count their components' searches
     rng = random.Random(13)
