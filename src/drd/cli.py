@@ -78,11 +78,11 @@ def parse_family(text: str) -> FamilySpec:
     return FamilySpec("disjoint_union", parts=tuple(specs))
 
 
-def _add_graph_source(p: argparse.ArgumentParser, multiple: bool = False):
-    action = "append" if multiple else "store"
-    p.add_argument("--family", action=action, help="family spec, e.g. cycle:7 or kpq:2,3")
-    p.add_argument("--edge-list", action=action, help="path to an edge-list file, '-' for stdin")
-    p.add_argument("--graph6", action=action, help="graph6 text")
+def _add_graph_source(p: argparse.ArgumentParser):
+    # each flag keeps every occurrence, so a repeated one is never dropped
+    p.add_argument("--family", action="append", help="family spec, e.g. cycle:7 or kpq:2,3")
+    p.add_argument("--edge-list", action="append", help="path to an edge-list file, '-' for stdin")
+    p.add_argument("--graph6", action="append", help="graph6 text")
 
 
 def _read_edge_list(path: str) -> str:
@@ -98,20 +98,14 @@ def _read_edge_list(path: str) -> str:
         raise GraphParseError("edge-list input is not ASCII", byte=e.start) from None
 
 
-def _listify(v) -> list:
-    if v is None:
-        return []
-    return v if isinstance(v, list) else [v]
-
-
 def resolve_graphs(args, parser: argparse.ArgumentParser) -> list[tuple[Graph, str]]:
     """Collect (graph, description) pairs from whichever source flags appear."""
     out: list[tuple[Graph, str]] = []
-    for spec in _listify(getattr(args, "family", None)):
+    for spec in args.family or ():
         out.append((generate(parse_family(spec)), spec))
-    for path in _listify(getattr(args, "edge_list", None)):
+    for path in args.edge_list or ():
         out.append((parse_graph(_read_edge_list(path), "edge_list"), path))
-    for text in _listify(getattr(args, "graph6", None)):
+    for text in args.graph6 or ():
         out.append((parse_graph(text, "graph6"), text))
     if not out:
         parser.error("no graph given: use --family, --edge-list or --graph6")
@@ -360,13 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     csub = check.add_subparsers(dest="suite", required=True)
 
     p = csub.add_parser("fundamental", parents=[common])
-    _add_graph_source(p, multiple=True)
+    _add_graph_source(p)
     p.add_argument("--all-minima", action="store_true",
                    help="check the partition bounds on every minimum labeling")
     p.set_defaults(func=cmd_check_fundamental, parser=p)
 
     p = csub.add_parser("cartesian", parents=[common])
-    _add_graph_source(p, multiple=True)
+    _add_graph_source(p)
     p.set_defaults(func=cmd_check_cartesian, parser=p)
 
     p = csub.add_parser("twins", parents=[common])

@@ -89,9 +89,9 @@ def frontier_dp(
     Vertices are placed in `order` and forgotten once their last neighbor
     is placed. The table maps the states of the frontier vertices to the
     least key of a labeling of the placed vertices, each taking one of
-    `values`, that reaches them. The key is one int, weight << 2n | code,
-    with code = sum of x * 4^(n-1-v) over the placed vertices v; code < 4^n,
-    so keys order as the pairs (weight, code). Labelings that reach the same
+    `values` (0 among them), that reaches them. The key is one int,
+    weight << 2n | code, with code = sum of x * 4^(n-1-v) over the placed
+    vertices v; code < 4^n, so keys order as the pairs (weight, code). Labelings that reach the same
     state have the same completions at the same cost, so the least final key
     is the least weight and, among its labelings, the least in index order,
     whatever `order` is. A vertex is forgotten only when satisfied.
@@ -124,7 +124,6 @@ def frontier_dp(
     # credits[f][c]: the field at offset 4f of a 0 with c credit from its neighbors
     counts = range(2 * max(map(len, adj), default=0) + 1)
     credits: list[list[int]] = []
-    zero = 0 in values
     table = {0: 0}
     entries = 1
     for i, v in enumerate(order):
@@ -162,12 +161,11 @@ def frontier_dp(
         new: dict[int, int] = {}
         get = new.get
         for state, key in table.items():
-            if zero:
-                t = state | credit[(state & gives).bit_count()]
-                if t & drop == drop:
-                    t &= keep
-                    if key < get(t, cap):
-                        new[t] = key
+            t = state | credit[(state & gives).bit_count()]
+            if t & drop == drop:
+                t &= keep
+                if key < get(t, cap):
+                    new[t] = key
             for inc, sets, lift in options:
                 t = state | sets
                 if lift:

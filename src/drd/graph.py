@@ -113,16 +113,33 @@ class Graph:
         return f"<Graph{tag} n={self.n} m={self.edge_count}>"
 
 
+def components(g: Graph) -> list[list[int]]:
+    """The connected components as ascending vertex lists, least vertex first.
+
+    One breadth-first search per component, over a list that grows as it is
+    read; a first search that reaches every vertex ends the walk."""
+    adj, n = g.adj, g.n
+    seen = [False] * n
+    parts = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        part = [s]
+        for v in part:
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    part.append(u)
+        part.sort()
+        if len(part) == n:
+            return [part]  # connected
+        parts.append(part)
+    return parts
+
+
 def is_connected(g: Graph) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in g.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == g.n
+    return len(components(g)) == 1
 
 
 # ---------------------------------------------------------------------------

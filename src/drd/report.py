@@ -102,14 +102,7 @@ def load_schema() -> dict:
 
 
 def to_json(report: Report) -> str:
-    payload = {
-        "command": report.command,
-        "inputs": report.inputs,
-        "results": report.results,
-        "status": report.status,
-        "elapsed_ms": report.elapsed_ms,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(report._asdict(), indent=2) + "\n"
 
 
 def _cell(row: dict, col: str) -> str:

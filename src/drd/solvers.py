@@ -9,13 +9,15 @@ much neighbor credit a 0-vertex needs: a dominating set is a {0,2} labeling
 of twice its size. The engine also lists every minimum DRDF. An exact
 frontier DP (module `frontier`) is a third route, tested against the oracle
 on its own. Each connected component's route is chosen once, at its root:
-one of small frontier width that leaves a root gap goes to the DP before
+one that leaves a root gap and whose frontier width the DP takes, as a
+probe that stops at the first wider frontier finds, goes to the DP before
 any search, and every other one is searched to the end.
 
 The three conditions are all on closed neighbourhoods, so a solve within
-the size cap takes each connected component on its own: the weights add
-up, and the merge of the components' lexicographically least optima is the
-graph's. An isolated vertex takes the least nonzero value with no search.
+the size cap takes each connected component on its own, as
+`graph.components` finds them: the weights add up, and the merge of the
+components' lexicographically least optima is the graph's. An isolated
+vertex takes the least nonzero value with no search.
 
 Search-space note: the double Roman solver branches over {0,2,3} only. A
 minimum-weight labeling never needs the value 1 (any 1 can be folded into a
@@ -32,7 +34,7 @@ import os
 from typing import Iterator, NamedTuple, Union
 
 from .errors import DrdError, InvalidArgumentsError, ResourceLimitError
-from .graph import Graph
+from .graph import Graph, components
 from .labeling import (
     DRLabeling,
     RomanLabeling,
@@ -172,13 +174,9 @@ def dp_width(need: int) -> int:
 
 def _dp_order(adj: tuple[tuple[int, ...], ...], need: int) -> list[int] | None:
     """The frontier order to solve along when the DP takes its width, else
-    None. An order of width w places each vertex next to at most w earlier
-    ones, so a graph with more than w * n - w * (w + 1) / 2 edges is refused
-    without a probe; the probe of a wider graph stops at the first frontier
-    over w."""
-    n, w = len(adj), dp_width(need)
-    if n > w and sum(map(len, adj)) > w * (2 * n - w - 1):
-        return None
+    None. The probe is the only test: it stops at the first frontier wider
+    than the DP takes, so a dense graph is refused within a few steps."""
+    w = dp_width(need)
     from .frontier import frontier_order  # loaded late: most solves never get here
 
     width, order = frontier_order(adj, w)
@@ -397,36 +395,6 @@ def _degree_order(degree: list[int]) -> list[int]:
     return sorted(range(len(degree)), key=degree.__getitem__, reverse=True)
 
 
-def _components(nbmask: list[int]) -> list[list[int]]:
-    """The connected components as ascending vertex lists, least vertex first.
-
-    A component's mask is turned into its list at once: on a sparse graph
-    the masks of all components together would weigh as much as nbmask."""
-    parts = []
-    left = (1 << len(nbmask)) - 1
-    while left:
-        part = reach = left & -left
-        # one breadth-first layer per round, until no vertex is new or none is left
-        while reach and part != left:
-            new = 0
-            while reach:
-                low = reach & -reach
-                new |= nbmask[low.bit_length() - 1]
-                reach ^= low
-            reach = new & ~part
-            part |= reach
-        left ^= part
-        if not (left or parts):
-            return [list(range(len(nbmask)))]  # connected
-        vertices = []
-        while part:
-            low = part & -part
-            vertices.append(low.bit_length() - 1)
-            part ^= low
-        parts.append(vertices)
-    return parts
-
-
 def _incumbent(greedy: frozenset[int], vertices, values: tuple[int, ...]) -> tuple[int, list[int]]:
     """The top value on the greedy set's members among `vertices` (for Roman,
     all 1s when those weigh no more), as weight and values in that order."""
@@ -449,13 +417,14 @@ def _solve_labeling(
     (`_root_gap`) against an incumbent that puts the top value on a greedy
     dominating set, before any mask is built; a root that closes ends a
     solve that is not canonical. Then the graph splits into its connected
-    components, found on the neighbour masks. The three invariants are sums
-    of conditions on closed neighbourhoods, so the weights add up, and the
-    lexicographically least optimum is the merge of each component's own
-    least optimum. An isolated vertex takes the least nonzero value, with
-    no search. Every other component, relabelled in ascending index order,
-    goes through `_solve_part` on its own (a connected graph whole, with
-    the masks built here), which chooses its route once, at its root.
+    components (`graph.components`), before any mask is built. The three
+    invariants are sums of conditions on closed neighbourhoods, so the
+    weights add up, and the lexicographically least optimum is the merge of
+    each component's own least optimum. An isolated vertex takes the least
+    nonzero value, with no search. Every other component, relabelled in
+    ascending index order, goes through `_solve_part` on its own with its
+    own neighbour masks (a connected graph whole, with the whole graph's
+    masks built only then), which chooses its route once, at its root.
     `nodes` sums the components' work, and the isolated vertices count as
     one root node between them, so it is at least 1. `method` is
     frontier_dp when the DP finished any component, else branch_and_bound.
@@ -473,11 +442,11 @@ def _solve_labeling(
     gap = _root_gap(degree, value_order, need, best_w)
     if gap <= 0 and not canonical:
         return best_w, best_vals, 1, "branch_and_bound"
-    nbmask = _neighbour_masks(adj)
-    parts = _components(nbmask)
+    parts = components(g)
     if len(parts) == 1:
         return _solve_part(
-            adj, nbmask, degree, need, value_order, values, best_w, best_vals, gap, canonical
+            adj, _neighbour_masks(adj), degree, need, value_order, values, best_w, best_vals, gap,
+            canonical,
         )
     floor = min(filter(None, values))
     labels = [floor] * g.n  # the isolated vertices keep theirs

@@ -187,6 +187,14 @@ def test_no_graph_source_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: drd compute ")
     assert "drd compute: error: no graph given: use --family, --edge-list or --graph6" in err
+    # a repeated source flag is two sources, not the last one alone
+    for prog, flags in (("compute", ["--family", "path:3", "--family", "cycle:5"]),
+                        ("verify", ["--graph6", "Bw", "--graph6", "Bw", "--labeling", "0,3,0"]),
+                        ("check twins", ["--family", "path:3", "--family", "path:4"])):
+        with pytest.raises(SystemExit) as exc:
+            main(prog.split() + flags)
+        assert exc.value.code == 2
+        assert f"drd {prog}: error: exactly one graph source expected" in capsys.readouterr().err
 
 
 def test_subcommand_usage_errors_name_the_subcommand(capsys):

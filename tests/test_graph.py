@@ -21,6 +21,7 @@ from drd.graph import (
     cartesian_product,
     complete,
     complete_bipartite,
+    components,
     corona,
     cycle,
     disjoint_union,
@@ -265,3 +266,10 @@ def test_is_connected():
     assert is_connected(cycle(4))
     assert not is_connected(disjoint_union(path(2), trivial(1)))
     assert is_connected(trivial(1))
+    # every graph on 1..7 vertices: the parts as ascending lists, least vertex first
+    for atlas in nx.graph_atlas_g():
+        if 1 <= atlas.number_of_nodes() <= 7:
+            g = Graph.from_edges(atlas.number_of_nodes(), atlas.edges())
+            parts = {frozenset(nx.node_connected_component(atlas, v)) for v in atlas}
+            assert components(g) == sorted(sorted(c) for c in parts), atlas.edges()
+            assert is_connected(g) == nx.is_connected(atlas), atlas.edges()
