@@ -113,10 +113,10 @@ def resolve_graphs(args, parser: argparse.ArgumentParser) -> list[tuple[Graph, s
 
 
 def resolve_one_graph(args, parser) -> tuple[Graph, str]:
-    graphs = resolve_graphs(args, parser)
-    if len(graphs) != 1:
+    # the sources are counted before any is built, so a second one is refused at once
+    if sum(len(flag or ()) for flag in (args.family, args.edge_list, args.graph6)) > 1:
         parser.error("exactly one graph source expected")
-    return graphs[0]
+    return resolve_graphs(args, parser)[0]
 
 
 def _parse_range(text: str) -> range:

@@ -1,27 +1,21 @@
 """Exact domination, Roman and double Roman domination by dynamic
 programming along a vertex order of small frontier width.
 
-`solvers` chooses each connected component's route once, at its root: a
-component with 14 or more vertices that leaves a root gap of 2 or more comes
-here before any search when `frontier_order`, probed with a limit that stops
-it at the first wider frontier, finds a width `solvers.dp_width` allows (5
-for domination and Roman, 4 for double Roman); every other component is
-searched to the end. A graph over the size cap comes here whole, by the
-same probe, or is refused. The DP returns the lexicographically least
-optimum, so a canonical solve needs no second pass. The module is imported
-only then, so a process that solves nothing large does not pay to load it.
+Which graphs come here, and at what width, is decided in
+`solvers._solve_part` and `solvers.dp_width`. The DP returns the
+lexicographically least optimum, so a canonical solve needs no second pass.
+The module is imported only when a graph comes here, so a process that
+solves nothing large does not pay to load it.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .solvers import GAIN
+from .solvers import GAIN, Adjacency
 
 
-def frontier_order(
-    adj: tuple[tuple[int, ...], ...], limit: int | None = None
-) -> tuple[int, list[int]]:
+def frontier_order(adj: Adjacency, limit: int | None = None) -> tuple[int, list[int]]:
     """A vertex order for `frontier_dp` and its frontier width.
 
     After each step the frontier is the set of placed vertices that still
@@ -79,7 +73,7 @@ def frontier_order(
 
 
 def frontier_dp(
-    adj: tuple[tuple[int, ...], ...], order: list[int], values: tuple[int, ...], need: int
+    adj: Adjacency, order: list[int], values: tuple[int, ...], need: int
 ) -> tuple[int, list[int], int]:
     """Exact minimum labeling weight by dynamic programming along `order`
     (vertex partitioning over a path of separators, after Telle and
@@ -91,10 +85,11 @@ def frontier_dp(
     least key of a labeling of the placed vertices, each taking one of
     `values` (0 among them), that reaches them. The key is one int,
     weight << 2n | code, with code = sum of x * 4^(n-1-v) over the placed
-    vertices v; code < 4^n, so keys order as the pairs (weight, code). Labelings that reach the same
-    state have the same completions at the same cost, so the least final key
-    is the least weight and, among its labelings, the least in index order,
-    whatever `order` is. A vertex is forgotten only when satisfied.
+    vertices v; code < 4^n, so keys order as the pairs (weight, code).
+    Labelings that reach the same state have the same completions at the
+    same cost, so the least final key is the least weight and, among its
+    labelings, the least in index order, whatever `order` is. A vertex is
+    forgotten only when satisfied.
 
     A state is one int too, with a 4-bit field per frontier vertex at a
     slot it takes when placed and frees when forgotten (a free field reads 0

@@ -113,14 +113,15 @@ class Graph:
         return f"<Graph{tag} n={self.n} m={self.edge_count}>"
 
 
-def components(g: Graph) -> list[list[int]]:
-    """The connected components as ascending vertex lists, least vertex first.
+def components(g: Graph) -> Iterator[list[int]]:
+    """Yield the connected components as ascending vertex lists, least
+    vertex first.
 
     One breadth-first search per component, over a list that grows as it is
-    read; a first search that reaches every vertex ends the walk."""
+    read, run only when the next part is asked for; a part that holds every
+    vertex ends the walk."""
     adj, n = g.adj, g.n
     seen = [False] * n
-    parts = []
     for s in range(n):
         if seen[s]:
             continue
@@ -132,14 +133,13 @@ def components(g: Graph) -> list[list[int]]:
                     seen[u] = True
                     part.append(u)
         part.sort()
+        yield part
         if len(part) == n:
-            return [part]  # connected
-        parts.append(part)
-    return parts
+            return  # connected
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
+    return len(next(components(g))) == g.n
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from typing import Iterator, NamedTuple, Union
+from typing import Collection, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DrdError, InvalidArgumentsError, ResourceLimitError
 from .graph import Graph, components
@@ -54,6 +54,8 @@ MINIMA_MAX_N = 10
 INVARIANTS = ("domination", "roman", "double_roman")
 
 Witness = Union[DRLabeling, RomanLabeling, VertexSet]
+# N(v) for each vertex v: `Graph.adj` itself, or a component's relabelled tuples
+Adjacency = Sequence[Collection[int]]
 
 
 class SolveResult(NamedTuple):
@@ -91,7 +93,7 @@ def check_solver_cap(g: Graph, need: int, what: str) -> None:
     would raise on g under the default cap, without solving anything: over
     the cap a graph is solved only when `_dp_order` finds it an order."""
     cap = _solver_cap(None)
-    if g.n > cap and _dp_order(_sorted_adj(g), need) is None:
+    if g.n > cap and _dp_order(g.adj, need) is None:
         _check_cap(g.n, cap, what)
 
 
@@ -172,7 +174,7 @@ def dp_width(need: int) -> int:
     return w
 
 
-def _dp_order(adj: tuple[tuple[int, ...], ...], need: int) -> list[int] | None:
+def _dp_order(adj: Adjacency, need: int) -> list[int] | None:
     """The frontier order to solve along when the DP takes its width, else
     None. The probe is the only test: it stops at the first frontier wider
     than the DP takes, so a dense graph is refused within a few steps."""
@@ -205,17 +207,6 @@ def _rest_table(per: int, clears: int, deficit: int) -> list[int]:
     return [-(-d * per // clears) for d in range(deficit + 1)]
 
 
-def _neighbour_masks(adj: tuple[tuple[int, ...], ...]) -> list[int]:
-    """nbmask[v]: the bit mask of N(v)."""
-    nbmask = []
-    for a in adj:
-        m = 0
-        for u in a:
-            m |= 1 << u
-        nbmask.append(m)
-    return nbmask
-
-
 def _root_gap(degree: list[int], value_order: tuple[int, ...], need: int, best: int) -> int:
     """`best` less the root's lower bound: its isolated vertices at the least
     nonzero value each, or the counting bound (see `_labelings`) on the whole
@@ -227,15 +218,13 @@ def _root_gap(degree: list[int], value_order: tuple[int, ...], need: int, best: 
 
 
 def _labelings(
-    adj: tuple[tuple[int, ...], ...],
-    nbmask: list[int],
+    adj: Adjacency,
     order: list[int],
     value_order: tuple[int, ...],
     need: int,
     bound: list[int],
 ) -> Iterator[list[int]]:
-    """DFS over `value_order` assignments in `order`, on an explicit stack,
-    with nbmask = `_neighbour_masks(adj)`.
+    """DFS over `value_order` assignments in `order`, on an explicit stack.
 
     Yields a copy of every complete labeling lighter than bound[0] as it
     meets them (the caller may lower bound[0] in between); a caller that
@@ -243,8 +232,8 @@ def _labelings(
     bound[1] is the node count, up to date at every yield and at the end.
     With values ascending and bound[0] = opt + 1, the first labeling yielded
     is the lexicographically least optimum. The root is not priced here:
-    `_root_gap` does that before the caller builds the masks, so a search
-    that ends there costs O(n).
+    `_root_gap` does that before any search starts, so a search that ends
+    there costs O(n).
 
     A node's state is four bit masks, stored per depth when it is expanded,
     so backing up only takes the weight back. `short` holds the unassigned
@@ -278,6 +267,12 @@ def _labelings(
     """
     n = len(adj)
     degree = [len(a) for a in adj]
+    nbmask = []  # nbmask[v]: the bit mask of N(v)
+    for a in adj:
+        m = 0
+        for u in a:
+            m |= 1 << u
+        nbmask.append(m)
     floor = min(filter(None, value_order))  # the price of a dead vertex
     deficit = need * n
     best = bound[0]
@@ -386,10 +381,6 @@ def _labelings(
         masks[depth] = sh, ba, done, shut
 
 
-def _sorted_adj(g: Graph) -> tuple[tuple[int, ...], ...]:
-    return tuple([tuple(sorted(s)) for s in g.adj])
-
-
 def _degree_order(degree: list[int]) -> list[int]:
     # descending degree, ties by index: the sort is stable under reverse
     return sorted(range(len(degree)), key=degree.__getitem__, reverse=True)
@@ -417,19 +408,18 @@ def _solve_labeling(
     (`_root_gap`) against an incumbent that puts the top value on a greedy
     dominating set, before any mask is built; a root that closes ends a
     solve that is not canonical. Then the graph splits into its connected
-    components (`graph.components`), before any mask is built. The three
-    invariants are sums of conditions on closed neighbourhoods, so the
-    weights add up, and the lexicographically least optimum is the merge of
-    each component's own least optimum. An isolated vertex takes the least
-    nonzero value, with no search. Every other component, relabelled in
-    ascending index order, goes through `_solve_part` on its own with its
-    own neighbour masks (a connected graph whole, with the whole graph's
-    masks built only then), which chooses its route once, at its root.
-    `nodes` sums the components' work, and the isolated vertices count as
-    one root node between them, so it is at least 1. `method` is
-    frontier_dp when the DP finished any component, else branch_and_bound.
+    components (`graph.components`). The three invariants are sums of
+    conditions on closed neighbourhoods, so the weights add up, and the
+    lexicographically least optimum is the merge of each component's own
+    least optimum. An isolated vertex takes the least nonzero value, with no
+    search. Every other component, relabelled in ascending index order, goes
+    through `_solve_part` on its own (a connected graph whole, as `g.adj`),
+    which chooses its route once, at its root. `nodes` sums the components'
+    work, and the isolated vertices count as one root node between them, so
+    it is at least 1. `method` is frontier_dp when the DP finished any
+    component, else branch_and_bound.
     """
-    adj = _sorted_adj(g)
+    adj = g.adj
     values = tuple(sorted(value_order))
     if g.n > cap:
         dp_order = _dp_order(adj, need)
@@ -442,12 +432,10 @@ def _solve_labeling(
     gap = _root_gap(degree, value_order, need, best_w)
     if gap <= 0 and not canonical:
         return best_w, best_vals, 1, "branch_and_bound"
-    parts = components(g)
+    parts = list(components(g))
     if len(parts) == 1:
-        return _solve_part(
-            adj, _neighbour_masks(adj), degree, need, value_order, values, best_w, best_vals, gap,
-            canonical,
-        )
+        return _solve_part(adj, degree, need, value_order, values, best_w, best_vals, gap,
+                           canonical)
     floor = min(filter(None, values))
     labels = [floor] * g.n  # the isolated vertices keep theirs
     isolated = degree.count(0)
@@ -463,9 +451,8 @@ def _solve_labeling(
         deg = [degree[v] for v in part]
         w, vals = _incumbent(greedy, part, values)
         part_gap = 0 if gap <= 0 else _root_gap(deg, value_order, need, w)
-        w, vals, work, route = _solve_part(
-            sub, _neighbour_masks(sub), deg, need, value_order, values, w, vals, part_gap, canonical
-        )
+        w, vals, work, route = _solve_part(sub, deg, need, value_order, values, w, vals, part_gap,
+                                           canonical)
         weight += w
         nodes += work
         for v, x in zip(part, vals):
@@ -476,8 +463,7 @@ def _solve_labeling(
 
 
 def _solve_part(
-    adj: tuple[tuple[int, ...], ...],
-    nbmask: list[int],
+    adj: Adjacency,
     degree: list[int],
     need: int,
     value_order: tuple[int, ...],
@@ -509,12 +495,12 @@ def _solve_part(
     if gap > 0:
         bound = [best_w, 0]
         # best_vals stays the incumbent unless the search finds a lighter one
-        for best_vals in _labelings(adj, nbmask, _degree_order(degree), value_order, need, bound):
+        for best_vals in _labelings(adj, _degree_order(degree), value_order, need, bound):
             best_w = bound[0] = sum(best_vals)
         nodes = bound[1]
     if canonical:
         bound = [best_w + 1, 0]
-        best_vals = next(_labelings(adj, nbmask, list(range(len(adj))), values, need, bound), None)
+        best_vals = next(_labelings(adj, list(range(len(adj))), values, need, bound), None)
         nodes += bound[1]
         if best_vals is None:
             raise DrdError("canonical pass failed to rediscover the optimum")
@@ -522,7 +508,7 @@ def _solve_part(
 
 
 def _by_frontier_dp(
-    adj: tuple[tuple[int, ...], ...], order: list[int], values: tuple[int, ...], need: int, nodes: int
+    adj: Adjacency, order: list[int], values: tuple[int, ...], need: int, nodes: int
 ) -> tuple[int, list[int], int, str]:
     from .frontier import frontier_dp
 
@@ -596,7 +582,7 @@ def brute_force(g: Graph, invariant: str, space: str = "reduced") -> SolveResult
     cap = BRUTE_MAX_N_FULL if space == "full" else BRUTE_MAX_N_REDUCED
     _check_cap(g.n, cap, f"brute_force({invariant}, {space})")
     n = g.n
-    adj = _sorted_adj(g)
+    adj = g.adj
     best_w: int | None = None
     best_t: tuple[int, ...] | None = None
     count = 0
@@ -663,8 +649,7 @@ def enumerate_min_drdfs(g: Graph, opt: int | None = None) -> Iterator[DRLabeling
     _check_cap(g.n, MINIMA_MAX_N, "enumerate_min_drdfs")
     if opt is None:
         opt = solve_double_roman(g, max_n=g.n).value
-    adj = _sorted_adj(g)
-    found = _labelings(adj, _neighbour_masks(adj), list(range(g.n)), (0, 2, 3), 2, [opt + 1, 0])
+    found = _labelings(g.adj, list(range(g.n)), (0, 2, 3), 2, [opt + 1, 0])
     minima = [DRLabeling(tuple(vals)) for vals in found]
     if not minima or any(f.weight != opt or not is_valid_drdf(g, f) for f in minima):
         raise DrdError(f"minimum enumeration found no valid minima of weight {opt}")

@@ -180,15 +180,22 @@ def test_unexpected_fault_exits_3_not_1(capsys, monkeypatch):
     assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
-def test_no_graph_source_is_usage_error(capsys):
+def test_no_graph_source_is_usage_error(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["compute"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: drd compute ")
     assert "drd compute: error: no graph given: use --family, --edge-list or --graph6" in err
-    # a repeated source flag is two sources, not the last one alone
+    # a repeated source flag is two sources, not the last one alone, and is
+    # refused before any graph is built
+    def no_build(*source):
+        raise AssertionError(f"{source} built")
+
+    monkeypatch.setattr(drd.cli, "generate", no_build)
+    monkeypatch.setattr(drd.cli, "parse_graph", no_build)
     for prog, flags in (("compute", ["--family", "path:3", "--family", "cycle:5"]),
+                        ("compute", ["--family", "path:3", "--graph6", "Bw"]),
                         ("verify", ["--graph6", "Bw", "--graph6", "Bw", "--labeling", "0,3,0"]),
                         ("check twins", ["--family", "path:3", "--family", "path:4"])):
         with pytest.raises(SystemExit) as exc:

@@ -271,5 +271,5 @@ def test_is_connected():
         if 1 <= atlas.number_of_nodes() <= 7:
             g = Graph.from_edges(atlas.number_of_nodes(), atlas.edges())
             parts = {frozenset(nx.node_connected_component(atlas, v)) for v in atlas}
-            assert components(g) == sorted(sorted(c) for c in parts), atlas.edges()
+            assert list(components(g)) == sorted(sorted(c) for c in parts), atlas.edges()
             assert is_connected(g) == nx.is_connected(atlas), atlas.edges()

@@ -34,8 +34,6 @@ from drd.solvers import (
     BRUTE_MAX_N_REDUCED,
     _degree_order,
     _labelings,
-    _neighbour_masks,
-    _sorted_adj,
     brute_force,
     dp_width,
     enumerate_min_drdfs,
@@ -61,10 +59,9 @@ def _engine_labelings(g, need, value_order, order, best):
     """`_labelings` run directly on g's whole adjacency, in `order` below
     `best`, lowering its bound to each labeling it yields: the labelings,
     lightest last, and its node count."""
-    adj = _sorted_adj(g)
     bound = [best, 0]
     found = []
-    for vals in _labelings(adj, _neighbour_masks(adj), order, value_order, need, bound):
+    for vals in _labelings(g.adj, order, value_order, need, bound):
         found.append(vals)
         bound[0] = sum(vals)
     return found, bound[1]
@@ -237,7 +234,7 @@ def test_path_cycle_sweep_against_brute():
 def _dp_check(g):
     # the DP is exact along any order, and its witness is the lexicographically
     # least optimum whatever the order: the oracle's witness
-    adj = _sorted_adj(g)
+    adj = g.adj
     forward = list(range(g.n))
     orders = [frontier_order(adj)[1], forward, forward[::-1]]
     cases = [
@@ -282,7 +279,7 @@ def test_frontier_dp_table_sizes(branch_and_bound_only):
         g = Graph.from_edges(
             n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
         )
-        if frontier_order(_sorted_adj(g))[0] <= 4:
+        if frontier_order(g.adj)[0] <= 4:
             sparse.append(g)
     alphabets = {
         # need, values, and the solver's witness for the DP's values
@@ -300,7 +297,7 @@ def test_frontier_dp_table_sizes(branch_and_bound_only):
         for corpus in (atlas, sparse):
             total = 0
             for g in corpus:
-                adj = _sorted_adj(g)
+                adj = g.adj
                 _, vals, entries = frontier_dp(adj, frontier_order(adj)[1], values, need)
                 total += entries
                 if corpus is sparse:
@@ -338,11 +335,11 @@ def test_dead_vertices_are_priced_at_the_least_nonzero_value(branch_and_bound_on
 
 
 def test_frontier_order_width():
-    assert frontier_order(_sorted_adj(path(30)))[0] == 1
-    assert frontier_order(_sorted_adj(cycle(30)))[0] == 2
-    assert frontier_order(_sorted_adj(grid2(15)))[0] == 2
-    assert frontier_order(_sorted_adj(trivial(5))) == (0, [0, 1, 2, 3, 4])
-    assert frontier_order(_sorted_adj(complete(6)))[0] == 5
+    assert frontier_order(path(30).adj)[0] == 1
+    assert frontier_order(cycle(30).adj)[0] == 2
+    assert frontier_order(grid2(15).adj)[0] == 2
+    assert frontier_order(trivial(5).adj) == (0, [0, 1, 2, 3, 4])
+    assert frontier_order(complete(6).adj)[0] == 5
 
 
 def _frontier_order_by_rescan(adj):
@@ -389,7 +386,7 @@ def test_frontier_order_matches_rescan():
             n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
         ))
     for g in corpus:
-        adj = _sorted_adj(g)
+        adj = g.adj
         assert frontier_order(adj) == _frontier_order_by_rescan(adj), g.edges()
 
 
@@ -399,7 +396,7 @@ def test_frontier_order_stops_past_its_limit():
     nx = pytest.importorskip("networkx")
     for a in nx.graph_atlas_g():
         if 1 <= a.number_of_nodes() <= 7:
-            adj = _sorted_adj(Graph.from_edges(a.number_of_nodes(), a.edges()))
+            adj = Graph.from_edges(a.number_of_nodes(), a.edges()).adj
             width, order = frontier_order(adj)
             for limit in range(len(adj) + 1):
                 got, prefix = frontier_order(adj, limit)
@@ -407,6 +404,57 @@ def test_frontier_order_stops_past_its_limit():
                     assert (got, prefix) == (width, order)
                 else:
                     assert limit < got <= width and prefix == order[:len(prefix)], a.edges()
+
+
+def test_solves_do_not_depend_on_neighbour_order():
+    # the frontier order, the DP and the engine read each N(v) as a set, so
+    # g.adj (frozensets, in hash order), ascending tuples and descending
+    # tuples give the same orders, tables, labelings and node counts
+    nx = pytest.importorskip("networkx")
+    corpus = [
+        Graph.from_edges(a.number_of_nodes(), a.edges())
+        for a in nx.graph_atlas_g() if 1 <= a.number_of_nodes() <= 7
+    ]
+    rng = random.Random(25)
+    for _ in range(60):
+        n, p = rng.randint(9, 24), rng.uniform(0.3, 0.6)
+        corpus.append(Graph.from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        ))
+
+    def solve(adj, incumbent, by_degree):
+        width, order = frontier_order(adj)
+        out = [width, order]
+        for need, values in ((1, (0, 2)), (1, (0, 1, 2)), (2, (0, 2, 3))):
+            if width <= dp_width(need):
+                out.append(frontier_dp(adj, order, values, need))
+        # the solver's two passes: degree order below the greedy incumbent,
+        # lowering the bound to each labeling, then index order at the
+        # optimum plus one up to its first labeling
+        for need, value_order in ENGINE.values():
+            bound = [value_order[0] * incumbent, 0]
+            for vals in _labelings(adj, by_degree, value_order, need, bound):
+                out.append(vals)
+                bound[0] = sum(vals)
+            out.append(bound[1])
+            bound[0] += 1
+            out.append(next(_labelings(adj, list(range(len(adj))), tuple(sorted(value_order)),
+                                       need, bound)))
+            out.append(bound[1])
+        return out
+
+    unsorted = 0
+    for g in corpus:
+        incumbent, by_degree = len(greedy_dominating_set(g)), _by_degree(g)
+        expect = solve(g.adj, incumbent, by_degree)
+        ascending = tuple(tuple(sorted(a)) for a in g.adj)
+        if list(ascending) != list(map(list, g.adj)):
+            unsorted += 1
+            assert solve(ascending, incumbent, by_degree) == expect, g.edges()
+        descending = tuple(a[::-1] for a in ascending)
+        assert solve(descending, incumbent, by_degree) == expect, g.edges()
+    # on most of the G(n, p), g.adj is not the ascending form
+    assert unsorted > 40, unsorted
 
 
 def test_closed_forms_up_to_the_size_cap():
@@ -450,7 +498,7 @@ def test_route_choice(request, monkeypatch):
     # gamma_R tables hold 3^w states and gamma_dR tables 5^w, so the DP takes
     # width 5 (P5 x P5) for gamma and gamma_R but not for gamma_dR
     square = cartesian_product(path(5), path(5))
-    assert frontier_order(_sorted_adj(square))[0] == 5
+    assert frontier_order(square.adj)[0] == 5
     assert (dp_width(1), dp_width(2)) == (5, 4)
     # graphs on 14 or more vertices whose greedy incumbent is 2 or more above
     # the root bound go to the DP from the root when it takes their width:
@@ -501,7 +549,7 @@ def test_route_choice(request, monkeypatch):
             assert witness_text(r.witness) == canonical[name_g, name]
     # a wider graph (the 4x4 torus) is searched to the end
     torus = cartesian_product(cycle(4), cycle(4))
-    assert frontier_order(_sorted_adj(torus))[0] == 7
+    assert frontier_order(torus.adj)[0] == 7
     # its node counts, canonical pass included, pin the search's pruning
     nodes = {solve_roman: (693, 801), solve_double_roman: (751, 1446)}
     for solver, counts in nodes.items():
@@ -583,7 +631,7 @@ def test_canonical_pass_on_a_routed_graph(request):
     plain, r = solve_roman(g), solve_roman(g, canonical=True)
     assert (plain.nodes_explored, plain.method) == (183, "frontier_dp")
     assert (r.nodes_explored, r.method) == (183, "frontier_dp")
-    adj = _sorted_adj(g)
+    adj = g.adj
     width, order = frontier_order(adj)
     assert width == 3
     assert frontier_dp(adj, order, (0, 1, 2), 1) == (12, list(r.witness.values), 182)
