@@ -30,6 +30,7 @@ from .solvers import (
     SolveResult,
     check_solver_cap,
     enumerate_min_drdfs,
+    root_interval,
     solve_domination,
     solve_double_roman,
     solve_roman,
@@ -281,8 +282,15 @@ class PairScanResult(NamedTuple):
 
 
 def _pair_hit(g: Graph, a: int, b: int) -> bool:
+    # the solvers' root intervals rule most graphs out with no solve; then
     # Roman first: it is cheaper and usually rules the graph out
-    return solve_roman(g).value == a and solve_double_roman(g).value == b
+    degree = [len(nb) for nb in g.adj]
+    lo, hi = root_interval(degree, "roman")
+    if not lo <= a <= hi:
+        return False
+    lo, hi = root_interval(degree, "double_roman")
+    return (lo <= b <= hi and solve_roman(g).value == a
+            and solve_double_roman(g).value == b)
 
 
 def _generator_tables(n: int, pairs: list[tuple[int, int]], split: int) -> list[tuple]:
@@ -340,12 +348,13 @@ def _scan_order(n: int, a: int, b: int, connected_only: bool) -> tuple[int, Grap
     """Scan the labeled graphs on n vertices in ascending edge-mask order:
     graphs scanned up to and including the first hit, and the hit.
 
-    Only the least mask of each isomorphism class is built and solved, read
-    from the committed class table (module graph_classes) in ascending
-    order; a class that misses adds its size to the count. The first hit in
-    mask order is the least mask of the first class that hits. Masks of the
-    missed classes can lie above it, so on a hit a walk along two generators
-    of S_n marks those classes and the marked masks below the hit are counted.
+    Only the least mask of each isomorphism class is built, read from the
+    committed class table (module graph_classes) in ascending order, and it
+    is solved only if `_pair_hit`'s screen lets it through; a class that
+    misses adds its size to the count. The first hit in mask order is the
+    least mask of the first class that hits. Masks of the missed classes can
+    lie above it, so on a hit a walk along two generators of S_n marks those
+    classes and the marked masks below the hit are counted.
     """
     from .graph_classes import CLASSES  # loaded late: only a scan reads it
     pairs = edge_positions(n)
@@ -382,9 +391,11 @@ def scan_pair_realizability(
     bitmask; the reported graph is the first hit in that order and
     graphs_scanned counts every labeled graph scanned up to it (with
     connected_only, the connected ones). Both invariants are the same on
-    isomorphic graphs, so each isomorphism class is built and solved once,
-    at its least mask, taken from the committed table of the classes on at
-    most MAX_ENUMERATION_N vertices; its other masks only add to the count.
+    isomorphic graphs, so each isomorphism class is built once, at its least
+    mask, taken from the committed table of the classes on at most
+    MAX_ENUMERATION_N vertices; its other masks only add to the count. A
+    class is solved at most once, and only when a and b lie in its root
+    intervals (`solvers.root_interval`) for gamma_R and gamma_dR.
     """
     if n_max > MAX_ENUMERATION_N:
         raise ResourceLimitError(

@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connected-only", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility and must be >= 1; the scan "
-                        "solves each isomorphism class once on one process")
+                        "solves each isomorphism class at most once on one process")
     p.set_defaults(func=cmd_check_pairs, parser=p)
 
     p = sub.add_parser("construct", help="emit a constructed graph")

@@ -144,6 +144,8 @@ def greedy_dominating_set(g: Graph) -> frozenset[int]:
 # 2-neighbors. One labeling engine serves all three.
 
 GAIN = (0, 0, 1, 2)
+# each invariant's need and the values its search tries, in their order
+LABELINGS = {"domination": (1, (2, 0)), "roman": (1, (2, 0, 1)), "double_roman": (2, (3, 2, 0))}
 
 # The frontier DP keeps at most DP_MAX_STATES states per step. A frontier
 # vertex has 2 * need + 1 states, so it takes widths <= 5 for domination and
@@ -207,14 +209,24 @@ def _rest_table(per: int, clears: int, deficit: int) -> list[int]:
     return [-(-d * per // clears) for d in range(deficit + 1)]
 
 
-def _root_gap(degree: list[int], value_order: tuple[int, ...], need: int, best: int) -> int:
-    """`best` less the root's lower bound: its isolated vertices at the least
-    nonzero value each, or the counting bound (see `_labelings`) on the whole
-    deficit. The search below `best` ends at its root when the gap is 0 or
-    less. O(n), with no mask built."""
-    per, clears = _clearing_rate(value_order, need, max(degree))
-    return best - max(min(filter(None, value_order)) * degree.count(0),
-                      -(-need * len(degree) * per // clears))
+def root_interval(degree: list[int], invariant: str) -> tuple[int, int]:
+    """[lower, upper] around the invariant's value on a graph with these
+    vertex degrees, in O(n), with no mask and no greedy.
+
+    `lower` is the root's bound: the isolated vertices at the least nonzero
+    value each, or the counting bound (see `_labelings`) on the whole
+    deficit; a search below `best` ends at its root when best - lower is 0
+    or less. `upper` is the weight of the labeling that puts the top value
+    on a vertex of top degree, 0 on its neighbours and the least nonzero
+    value on every other vertex (n - Delta + 1 for gamma_R, 2n - 2 Delta + 1
+    for gamma_dR)."""
+    need, value_order = LABELINGS[invariant]
+    top = max(degree)
+    per, clears = _clearing_rate(value_order, need, top)
+    floor = min(filter(None, value_order))
+    n = len(degree)
+    return (max(floor * degree.count(0), -(-need * n * per // clears)),
+            max(value_order) + floor * (n - top - 1))
 
 
 def _labelings(
@@ -232,7 +244,7 @@ def _labelings(
     bound[1] is the node count, up to date at every yield and at the end.
     With values ascending and bound[0] = opt + 1, the first labeling yielded
     is the lexicographically least optimum. The root is not priced here:
-    `_root_gap` does that before any search starts, so a search that ends
+    `root_interval` does that before any search starts, so a search that ends
     there costs O(n).
 
     A node's state is four bit masks, stored per depth when it is expanded,
@@ -398,18 +410,18 @@ def _incumbent(greedy: frozenset[int], vertices, values: tuple[int, ...]) -> tup
 
 
 def _solve_labeling(
-    g: Graph, need: int, value_order: tuple[int, ...], canonical: bool, cap: int, what: str
+    g: Graph, invariant: str, canonical: bool, cap: int
 ) -> tuple[int, list[int], int, str]:
-    """Weight, values, work and method of a minimum labeling for `need`.
+    """Weight, values, work and method of a minimum labeling for `invariant`.
 
     Above `cap` vertices there is no search: the graph goes to the DP if
     `_dp_order` finds it an order and is refused if not, whether it is
-    connected or not. Within the cap, the root is priced first
-    (`_root_gap`) against an incumbent that puts the top value on a greedy
-    dominating set, before any mask is built; a root that closes ends a
-    solve that is not canonical. Then the graph splits into its connected
-    components (`graph.components`). The three invariants are sums of
-    conditions on closed neighbourhoods, so the weights add up, and the
+    connected or not. Within the cap, the root is priced first (the lower
+    end of `root_interval`) against an incumbent that puts the top value on
+    a greedy dominating set, before any mask is built; a root that closes
+    ends a solve that is not canonical. Then the graph splits into its
+    connected components (`graph.components`). The three invariants are sums
+    of conditions on closed neighbourhoods, so the weights add up, and the
     lexicographically least optimum is the merge of each component's own
     least optimum. An isolated vertex takes the least nonzero value, with no
     search. Every other component, relabelled in ascending index order, goes
@@ -420,16 +432,17 @@ def _solve_labeling(
     component, else branch_and_bound.
     """
     adj = g.adj
+    need, value_order = LABELINGS[invariant]
     values = tuple(sorted(value_order))
     if g.n > cap:
         dp_order = _dp_order(adj, need)
         if dp_order is None:
-            _check_cap(g.n, cap, what)  # too wide for the DP: refused
+            _check_cap(g.n, cap, f"solve_{invariant}")  # too wide for the DP: refused
         return _by_frontier_dp(adj, dp_order, values, need, 0)
     greedy = greedy_dominating_set(g)
     best_w, best_vals = _incumbent(greedy, range(g.n), values)
     degree = [len(a) for a in adj]
-    gap = _root_gap(degree, value_order, need, best_w)
+    gap = best_w - root_interval(degree, invariant)[0]
     if gap <= 0 and not canonical:
         return best_w, best_vals, 1, "branch_and_bound"
     parts = list(components(g))
@@ -450,7 +463,7 @@ def _solve_labeling(
         sub = tuple(tuple(pos[u] for u in adj[v]) for v in part)
         deg = [degree[v] for v in part]
         w, vals = _incumbent(greedy, part, values)
-        part_gap = 0 if gap <= 0 else _root_gap(deg, value_order, need, w)
+        part_gap = 0 if gap <= 0 else w - root_interval(deg, invariant)[0]
         w, vals, work, route = _solve_part(sub, deg, need, value_order, values, w, vals, part_gap,
                                            canonical)
         weight += w
@@ -474,8 +487,8 @@ def _solve_part(
     canonical: bool,
 ) -> tuple[int, list[int], int, str]:
     """`_solve_labeling` on a connected graph, from the incumbent best_w,
-    best_vals, which is optimal when the root's `gap` (see `_root_gap`) is 0
-    or less.
+    best_vals, which is optimal when the root's `gap` (best_w less the lower
+    end of `root_interval`) is 0 or less.
 
     The route is chosen once, at the root. A graph with ROOT_DP_MIN_N
     vertices or more whose root leaves a gap of ROOT_DP_MIN_GAP or more goes
@@ -525,7 +538,7 @@ def solve_domination(g: Graph, canonical: bool = False, max_n: int | None = None
     dominating sets.
     """
     best_w, best_vals, nodes, method = _solve_labeling(
-        g, 1, (2, 0), canonical, _solver_cap(max_n), "solve_domination"
+        g, "domination", canonical, _solver_cap(max_n)
     )
     best = frozenset(v for v in range(g.n) if best_vals[v])
     if 2 * len(best) != best_w or not is_dominating(g, best):
@@ -536,7 +549,7 @@ def solve_domination(g: Graph, canonical: bool = False, max_n: int | None = None
 def solve_roman(g: Graph, canonical: bool = False, max_n: int | None = None) -> SolveResult:
     """Minimum Roman dominating function weight with a witness labeling."""
     best_w, best_vals, nodes, method = _solve_labeling(
-        g, 1, (2, 0, 1), canonical, _solver_cap(max_n), "solve_roman"
+        g, "roman", canonical, _solver_cap(max_n)
     )
     witness = RomanLabeling(tuple(best_vals))
     if witness.weight != best_w or not is_valid_rdf(g, witness):
@@ -555,7 +568,7 @@ def solve_double_roman(g: Graph, canonical: bool = False, max_n: int | None = No
     witness is the lexicographically least optimal labeling over {0,2,3}.
     """
     best_w, best_vals, nodes, method = _solve_labeling(
-        g, 2, (3, 2, 0), canonical, _solver_cap(max_n), "solve_double_roman"
+        g, "double_roman", canonical, _solver_cap(max_n)
     )
     witness = DRLabeling(tuple(best_vals))
     if witness.weight != best_w or not is_valid_drdf(g, witness):

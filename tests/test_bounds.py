@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 import itertools
+import math
 
+import networkx as nx
 import pytest
 
 import drd.bounds
@@ -22,6 +25,7 @@ from drd.bounds import (
 from drd.errors import InvalidArgumentsError, ResourceLimitError
 from drd.graph import (
     MAX_ENUMERATION_N,
+    Graph,
     complete,
     cycle,
     disjoint_union,
@@ -213,26 +217,69 @@ def test_pair_scan_matches_plain_loop():
                     assert r.found.adj == found.adj, case
 
 
+def _record_solves(monkeypatch) -> tuple[list, list]:
+    """The graphs the scan hands to solve_roman and solve_double_roman."""
+    calls: tuple[list, list] = ([], [])
+    for solver, seen in zip((solve_roman, solve_double_roman), calls):
+        monkeypatch.setattr(drd.bounds, solver.__name__,
+                            lambda g, solver=solver, seen=seen: seen.append(g) or solver(g))
+    return calls
+
+
+def _assert_distinct_classes(graphs):
+    """No two of the graphs are isomorphic: each vertex's degree and its
+    neighbours' degrees tell most apart, and networkx tests the rest."""
+    groups: dict = {}
+    for g in graphs:
+        key = tuple(sorted((len(a), tuple(sorted(len(g.adj[u]) for u in a))) for a in g.adj))
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
+        assert not any(nx.is_isomorphic(h, other) for other in groups.get(key, [])), g.edges()
+        groups.setdefault(key, []).append(h)
+
+
 def test_pair_scan_solves_each_class_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(
-        drd.bounds, "solve_roman", lambda g: calls.append(g) or solve_roman(g)
-    )
-    r = scan_pair_realizability(2, 4, n_max=6)
-    assert r.found is None and r.graphs_scanned == 27476
-    assert len(calls) == 143  # connected graphs on 1..6 vertices up to isomorphism
+    # each class is solved at most once, and the root intervals settle most
+    # of them with no solve: no connected class on 1..6 vertices has 2 in
+    # its gamma_R interval and 4 in its gamma_dR interval
+    for (a, b), counts in (((2, 4), (0, 0)), ((4, 5), (29, 29))):
+        roman, double = _record_solves(monkeypatch)
+        r = scan_pair_realizability(a, b, n_max=6)
+        assert r.found is None and r.graphs_scanned == 27476
+        assert (len(roman), len(double)) == counts, (a, b)
+        _assert_distinct_classes(roman)
+        _assert_distinct_classes(double)
 
 
 def test_pair_scan_solves_each_class_once_at_n7(monkeypatch):
-    # the README's example scan; it misses, so no class is walked
-    calls = []
-    monkeypatch.setattr(
-        drd.bounds, "solve_roman", lambda g: calls.append(g) or solve_roman(g)
-    )
+    # the README's example scan; it misses, so no class is walked. 318 of
+    # the 996 connected classes on 1..7 vertices (143 up to 6, 853 on 7,
+    # OEIS A001349) pass both root intervals
+    roman, double = _record_solves(monkeypatch)
     r = scan_pair_realizability(4, 5, n_max=7)
     assert r.found is None and r.graphs_scanned == 1_893_732
-    # 143 connected classes on 1..6 vertices, 853 on 7 (OEIS A001349)
-    assert len(calls) == 143 + 853
+    assert (len(roman), len(double)) == (318, 318)
+    _assert_distinct_classes(roman)
+    _assert_distinct_classes(double)
+
+
+def test_pair_scan_screen_changes_no_result(monkeypatch):
+    # every target pair, in both modes, with the root intervals and then with
+    # intervals that rule nothing out, so every class is solved. The solvers
+    # are deterministic, so each graph's values are solved once for all scans
+    for solver in (solve_roman, solve_double_roman):
+        memo = functools.cache(lambda n, edges, solver=solver: solver(Graph.from_edges(n, edges)))
+        monkeypatch.setattr(drd.bounds, solver.__name__,
+                            lambda g, memo=memo: memo(g.n, tuple(g.edges())))
+
+    def scans():
+        return [scan_pair_realizability(a, b, n_max=5, connected_only=connected_only)
+                for a in range(9) for b in range(13) for connected_only in (True, False)]
+
+    screened = scans()
+    assert sum(r.found is not None for r in screened) == 17
+    monkeypatch.setattr(drd.bounds, "root_interval", lambda degree, invariant: (0, math.inf))
+    assert scans() == screened
 
 
 @pytest.mark.parametrize("a, b, connected_only, scanned, found", [

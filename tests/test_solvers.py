@@ -9,7 +9,6 @@ import tracemalloc
 
 import pytest
 
-import drd.bounds
 from drd.errors import InvalidArgumentsError, ResourceLimitError
 from drd.formulas import gamma_dr_corona_k1, gamma_dr_cycle, gamma_dr_grid2
 from drd.frontier import frontier_dp, frontier_order
@@ -21,6 +20,7 @@ from drd.graph import (
     corona,
     cycle,
     disjoint_union,
+    graph_from_edge_mask,
     grid2,
     is_connected,
     parse_graph,
@@ -28,6 +28,7 @@ from drd.graph import (
     star,
     trivial,
 )
+from drd.graph_classes import CLASSES
 from drd.labeling import DRLabeling, RomanLabeling, is_dominating, is_valid_drdf, is_valid_rdf
 from drd.report import witness_text
 from drd.solvers import (
@@ -38,6 +39,7 @@ from drd.solvers import (
     dp_width,
     enumerate_min_drdfs,
     greedy_dominating_set,
+    root_interval,
     solve_domination,
     solve_double_roman,
     solve_roman,
@@ -481,7 +483,13 @@ def test_closed_forms_past_the_size_cap():
             assert solve_double_roman(fr.graph).value == fr.value, (family, n)
 
 
-def test_route_choice(request, monkeypatch):
+def _class_representatives(n_max):
+    """The least-mask graph of every isomorphism class on 1..n_max vertices."""
+    return [graph_from_edge_mask(n, int(entry.split(":")[0]))
+            for n in range(1, n_max + 1) for entry in CLASSES[n - 1].split()]
+
+
+def test_route_choice(request):
     canonical = {
         ("P19", "domination"): "1,4,7,10,13,16,18",
         ("C20", "domination"): "2,5,8,11,14,17,19",
@@ -556,10 +564,8 @@ def test_route_choice(request, monkeypatch):
         r = solver(torus)
         assert r.method == "branch_and_bound"
         assert (r.nodes_explored, solver(torus, canonical=True).nodes_explored) == counts
-    # the pair scan's class representatives are too small for the DP
-    reps = []
-    monkeypatch.setattr(drd.bounds, "solve_roman", lambda g: reps.append(g) or solve_roman(g))
-    assert drd.bounds.scan_pair_realizability(2, 4, n_max=6).found is None
+    # the connected classes the pair scans solve are too small for the DP
+    reps = [g for g in _class_representatives(6) if is_connected(g)]
     assert len(reps) == 143
     for g in reps:
         for solver in (solve_roman, solve_double_roman):
@@ -671,8 +677,9 @@ def test_root_test_comes_before_the_masks():
     # gamma_R of a perfect matching on 20,000 vertices closes at the root, so
     # its solve builds no n-bit mask: its traced peak was 35.6 MB when the
     # masks came first, about 25 MB of it theirs. gamma_dR's whole-graph root
-    # bound (ceil(4n/3)) stays below the greedy's 3n/2, so it builds the masks
-    # and splits the graph: the root bound closes each edge, one node apiece,
+    # bound (ceil(4n/3)) stays below the greedy's 3n/2, so the graph is split
+    # before any mask is built, and each edge's search builds only its own
+    # 2-vertex masks: the root bound closes each edge, one node apiece,
     # within the 42.8 MB that its search to the DP took before the split
     n = 20_000
     g = Graph.from_edges(n, [(v, v + 1) for v in range(0, n, 2)])
@@ -769,6 +776,37 @@ def test_greedy_matches_rescan():
         ))
     for g in corpus:
         assert greedy_dominating_set(g) == _greedy_by_rescan(g), g.edges()
+
+
+def _top_degree_labeling(g, invariant):
+    """The labeling that `root_interval`'s upper end weighs: the top value on
+    the first vertex of top degree, 0 on its neighbours and the least nonzero
+    value on every other vertex."""
+    values = sorted(ENGINE[invariant][1])
+    degree = [len(a) for a in g.adj]
+    hub = degree.index(max(degree))
+    return tuple(values[-1] if v == hub else 0 if v in g.adj[hub] else values[1]
+                 for v in range(g.n))
+
+
+def test_root_interval_holds_on_every_class():
+    # every class on 1..7 vertices, connected or not: each invariant lies in
+    # its interval, and the upper end is the weight of a valid labeling (a
+    # dominating set is a {0,2} labeling of twice its size)
+    valid = {"domination": lambda g, t: is_dominating(g, {v for v in range(g.n) if t[v]}),
+             "roman": lambda g, t: is_valid_rdf(g, RomanLabeling(t)),
+             "double_roman": lambda g, t: is_valid_drdf(g, DRLabeling(t))}
+    graphs = _class_representatives(7)
+    assert len(graphs) == 1_252
+    for g in graphs:
+        degree = [len(a) for a in g.adj]
+        for name in ("roman", "double_roman"):
+            lower, upper = root_interval(degree, name)
+            assert lower <= SOLVERS[name](g).value <= upper, (name, g.edges())
+        for name, check in valid.items():
+            labeling = _top_degree_labeling(g, name)
+            assert sum(labeling) == root_interval(degree, name)[1], (name, g.edges())
+            assert check(g, labeling), (name, g.edges())
 
 
 def test_root_bound_closes_cycles():
