@@ -209,7 +209,7 @@ def check_twin(g: Graph, u: int, kind: str, base: int | None = None) -> BoundRep
     else:
         raise InvalidArgumentsError(f"unknown twin kind {kind!r}")
     for graph in (g, h):
-        check_solver_cap(graph, 2, "solve_double_roman")
+        check_solver_cap(graph, "double_roman")
     if base is None:
         base = solve_double_roman(g).value
     grown = solve_double_roman(h).value

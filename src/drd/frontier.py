@@ -2,8 +2,10 @@
 programming along a vertex order of small frontier width.
 
 Which graphs come here, and at what width, is decided in
-`solvers._solve_part` and `solvers.dp_width`. The DP returns the
-lexicographically least optimum, so a canonical solve needs no second pass.
+`solvers.dp_width` and in `solvers._solve_labeling`: a graph over the size
+cap whole, and within the cap a component from its root in the loop over
+the components. The DP returns the lexicographically least optimum, so a
+canonical solve needs no second pass.
 The module is imported only when a graph comes here, so a process that
 solves nothing large does not pay to load it.
 """

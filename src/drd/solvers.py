@@ -8,16 +8,19 @@ differs between the invariants only in the alphabet, the value order and how
 much neighbor credit a 0-vertex needs: a dominating set is a {0,2} labeling
 of twice its size. The engine also lists every minimum DRDF. An exact
 frontier DP (module `frontier`) is a third route, tested against the oracle
-on its own. Each connected component's route is chosen once, at its root:
-one that leaves a root gap and whose frontier width the DP takes, as a
-probe that stops at the first wider frontier finds, goes to the DP before
-any search, and every other one is searched to the end.
+on its own. A solve over the size cap goes to the DP whole, along the order
+`_over_cap` finds, or is refused; `check_solver_cap` asks the same question
+without solving.
 
-The three conditions are all on closed neighbourhoods, so a solve within
-the size cap takes each connected component on its own, as
-`graph.components` finds them: the weights add up, and the merge of the
-components' lexicographically least optima is the graph's. An isolated
-vertex takes the least nonzero value with no search.
+Within the cap, one loop in `_solve_labeling` takes each connected
+component on its own, as `graph.components` finds them: the three
+conditions are all on closed neighbourhoods, so the weights add up, and the
+merge of the components' lexicographically least optima is the graph's. An
+isolated vertex takes the least nonzero value with no search. Every other
+component's route is chosen once, at its root: one that leaves a root gap
+and whose frontier width the DP takes, as a probe that stops at the first
+wider frontier finds, goes to the DP before any search, and every other one
+is searched to the end.
 
 Search-space note: the double Roman solver branches over {0,2,3} only. A
 minimum-weight labeling never needs the value 1 (any 1 can be folded into a
@@ -88,13 +91,23 @@ def _check_cap(n: int, cap: int, what: str):
         raise ResourceLimitError(f"{what} supports n <= {cap}, got n = {n}")
 
 
-def check_solver_cap(g: Graph, need: int, what: str) -> None:
-    """Raise the ResourceLimitError that solver ``what`` (the one for `need`)
-    would raise on g under the default cap, without solving anything: over
-    the cap a graph is solved only when `_dp_order` finds it an order."""
-    cap = _solver_cap(None)
-    if g.n > cap and _dp_order(g.adj, need) is None:
-        _check_cap(g.n, cap, what)
+def _over_cap(g: Graph, invariant: str, cap: int) -> list[int] | None:
+    """None when g has `cap` vertices or fewer. Over the cap there is no
+    search: the order along which the frontier DP solves g whole, when
+    `_dp_order` finds one; otherwise it raises the ResourceLimitError of
+    solve_<invariant>."""
+    if g.n <= cap:
+        return None
+    order = _dp_order(g.adj, LABELINGS[invariant][0])
+    if order is None:
+        _check_cap(g.n, cap, f"solve_{invariant}")  # too wide for the DP: refused
+    return order
+
+
+def check_solver_cap(g: Graph, invariant: str) -> None:
+    """Raise the ResourceLimitError that solve_<invariant> would raise on g
+    under the default cap, without solving anything."""
+    _over_cap(g, invariant, _solver_cap(None))
 
 
 def greedy_dominating_set(g: Graph) -> frozenset[int]:
@@ -151,8 +164,8 @@ LABELINGS = {"domination": (1, (2, 0)), "roman": (1, (2, 0, 1)), "double_roman":
 # vertex has 2 * need + 1 states, so it takes widths <= 5 for domination and
 # Roman (3^5 = 243) and <= 4 for double Roman (5^4 = 625).
 DP_MAX_STATES = 5**4
-# A connected graph goes to the DP from the root, with no search at all, when
-# it has ROOT_DP_MIN_N vertices or more, its greedy incumbent lies
+# A connected component goes to the DP from its root, with no search at all,
+# when it has ROOT_DP_MIN_N vertices or more, its greedy incumbent lies
 # ROOT_DP_MIN_GAP or more above the root bound and the DP takes its frontier
 # width (see `_dp_order`); every other graph is searched to the end. A width
 # 4 or 5 DP can cost more than a search of about 100 nodes, so a lower least
@@ -414,119 +427,93 @@ def _solve_labeling(
 ) -> tuple[int, list[int], int, str]:
     """Weight, values, work and method of a minimum labeling for `invariant`.
 
-    Above `cap` vertices there is no search: the graph goes to the DP if
-    `_dp_order` finds it an order and is refused if not, whether it is
-    connected or not. Within the cap, the root is priced first (the lower
-    end of `root_interval`) against an incumbent that puts the top value on
-    a greedy dominating set, before any mask is built; a root that closes
-    ends a solve that is not canonical. Then the graph splits into its
-    connected components (`graph.components`). The three invariants are sums
-    of conditions on closed neighbourhoods, so the weights add up, and the
-    lexicographically least optimum is the merge of each component's own
+    Above `cap` vertices there is no search: the DP solves the graph whole,
+    along the order `_over_cap` finds, or it is refused. Within the cap, the
+    root is priced first (the lower end of `root_interval`) against an
+    incumbent that puts the top value on a greedy dominating set, before any
+    mask is built; a root that closes ends a solve that is not canonical.
+
+    Then one loop solves each connected component (`graph.components`) on
+    its own, relabelled in ascending index order. The three invariants are
+    sums of conditions on closed neighbourhoods, so the weights add up, and
+    the lexicographically least optimum is the merge of each component's own
     least optimum. An isolated vertex takes the least nonzero value, with no
-    search. Every other component, relabelled in ascending index order, goes
-    through `_solve_part` on its own (a connected graph whole, as `g.adj`),
-    which chooses its route once, at its root. `nodes` sums the components'
-    work, and the isolated vertices count as one root node between them, so
-    it is at least 1. `method` is frontier_dp when the DP finished any
-    component, else branch_and_bound.
+    search. Every other component's route is chosen once, at its root, from
+    its own incumbent and root gap. One with ROOT_DP_MIN_N vertices or more
+    whose root leaves a gap of ROOT_DP_MIN_GAP or more goes to
+    `frontier.frontier_dp` when the DP takes its width (`_dp_order`), and no
+    search runs: the DP returns the least optimum, so a canonical solve
+    needs no second pass. Any other component is searched to the end. The
+    main pass searches in `_degree_order`, values tried in `value_order`,
+    and lowers its bound on each labeling it gets; it is skipped when the
+    component's root, or the whole graph's, closes. Then canonical=True
+    runs a lex-first pass (index order, ascending values) at the optimum
+    plus one and takes its first labeling.
+
+    `nodes` sums the components' work: a searched one counts its nodes, the
+    root included, and one routed to the DP its root plus the table entries.
+    The isolated vertices count as one root node between them, so `nodes` is
+    at least 1; a graph over the cap counts the DP's table entries alone.
+    `method` is frontier_dp when the DP finished any component, else
+    branch_and_bound.
     """
     adj = g.adj
     need, value_order = LABELINGS[invariant]
     values = tuple(sorted(value_order))
-    if g.n > cap:
-        dp_order = _dp_order(adj, need)
-        if dp_order is None:
-            _check_cap(g.n, cap, f"solve_{invariant}")  # too wide for the DP: refused
-        return _by_frontier_dp(adj, dp_order, values, need, 0)
+    order = _over_cap(g, invariant, cap)
+    if order is not None:
+        from .frontier import frontier_dp
+
+        weight, labels, nodes = frontier_dp(adj, order, values, need)
+        return weight, labels, nodes, "frontier_dp"
     greedy = greedy_dominating_set(g)
     best_w, best_vals = _incumbent(greedy, range(g.n), values)
     degree = [len(a) for a in adj]
     gap = best_w - root_interval(degree, invariant)[0]
     if gap <= 0 and not canonical:
         return best_w, best_vals, 1, "branch_and_bound"
-    parts = list(components(g))
-    if len(parts) == 1:
-        return _solve_part(adj, degree, need, value_order, values, best_w, best_vals, gap,
-                           canonical)
-    floor = min(filter(None, values))
+    floor = values[1]  # the least nonzero value
     labels = [floor] * g.n  # the isolated vertices keep theirs
     isolated = degree.count(0)
     weight, nodes = floor * isolated, min(isolated, 1)
     method = "branch_and_bound"
     pos = [0] * g.n  # a vertex's index in its component
-    for part in parts:
-        if len(part) == 1:
+    for part in components(g):
+        m = len(part)
+        if m == 1:
             continue  # an isolated vertex
         for i, v in enumerate(part):
             pos[v] = i
-        sub = tuple(tuple(pos[u] for u in adj[v]) for v in part)
-        deg = [degree[v] for v in part]
+        sub = adj if m == g.n else tuple(tuple(pos[u] for u in adj[v]) for v in part)
+        deg = [len(a) for a in sub]
         w, vals = _incumbent(greedy, part, values)
         part_gap = 0 if gap <= 0 else w - root_interval(deg, invariant)[0]
-        w, vals, work, route = _solve_part(sub, deg, need, value_order, values, w, vals, part_gap,
-                                           canonical)
+        order = part_gap >= ROOT_DP_MIN_GAP and m >= ROOT_DP_MIN_N and _dp_order(sub, need)
+        if order:  # to the DP from the root
+            from .frontier import frontier_dp
+
+            w, vals, work = frontier_dp(sub, order, values, need)
+            work += 1  # the root, priced
+            method = "frontier_dp"
+        else:
+            work = 1  # a closed root
+            if part_gap > 0:
+                bound = [w, 0]
+                # vals stays the incumbent unless the search finds a lighter one
+                for vals in _labelings(sub, _degree_order(deg), value_order, need, bound):
+                    w = bound[0] = sum(vals)
+                work = bound[1]
+            if canonical:
+                bound = [w + 1, 0]
+                vals = next(_labelings(sub, list(range(m)), values, need, bound), None)
+                work += bound[1]
+                if vals is None:
+                    raise DrdError("canonical pass failed to rediscover the optimum")
         weight += w
         nodes += work
         for v, x in zip(part, vals):
             labels[v] = x
-        if route == "frontier_dp":
-            method = route
     return weight, labels, nodes, method
-
-
-def _solve_part(
-    adj: Adjacency,
-    degree: list[int],
-    need: int,
-    value_order: tuple[int, ...],
-    values: tuple[int, ...],
-    best_w: int,
-    best_vals: list[int],
-    gap: int,
-    canonical: bool,
-) -> tuple[int, list[int], int, str]:
-    """`_solve_labeling` on a connected graph, from the incumbent best_w,
-    best_vals, which is optimal when the root's `gap` (best_w less the lower
-    end of `root_interval`) is 0 or less.
-
-    The route is chosen once, at the root. A graph with ROOT_DP_MIN_N
-    vertices or more whose root leaves a gap of ROOT_DP_MIN_GAP or more goes
-    to `frontier.frontier_dp` when the DP takes its width (`_dp_order`), and
-    no search runs: the DP returns the lexicographically least optimum, so a
-    canonical solve needs no second pass. Any other graph is searched to the
-    end. The main pass searches in `_degree_order`, values tried in
-    `value_order`, and lowers its bound on each labeling it gets; then
-    canonical=True runs a lex-first pass (index order, ascending values) at
-    the optimum plus one and takes its first labeling.
-    """
-    if gap >= ROOT_DP_MIN_GAP and len(adj) >= ROOT_DP_MIN_N:
-        dp_order = _dp_order(adj, need)
-        if dp_order is not None:
-            return _by_frontier_dp(adj, dp_order, values, need, 1)  # the root, priced
-    nodes = 1  # a closed root
-    if gap > 0:
-        bound = [best_w, 0]
-        # best_vals stays the incumbent unless the search finds a lighter one
-        for best_vals in _labelings(adj, _degree_order(degree), value_order, need, bound):
-            best_w = bound[0] = sum(best_vals)
-        nodes = bound[1]
-    if canonical:
-        bound = [best_w + 1, 0]
-        best_vals = next(_labelings(adj, list(range(len(adj))), values, need, bound), None)
-        nodes += bound[1]
-        if best_vals is None:
-            raise DrdError("canonical pass failed to rediscover the optimum")
-    return best_w, best_vals, nodes, "branch_and_bound"
-
-
-def _by_frontier_dp(
-    adj: Adjacency, order: list[int], values: tuple[int, ...], need: int, nodes: int
-) -> tuple[int, list[int], int, str]:
-    from .frontier import frontier_dp
-
-    best_w, best_vals, entries = frontier_dp(adj, order, values, need)
-    return best_w, best_vals, nodes + entries, "frontier_dp"
 
 
 def solve_domination(g: Graph, canonical: bool = False, max_n: int | None = None) -> SolveResult:
@@ -561,11 +548,12 @@ def solve_double_roman(g: Graph, canonical: bool = False, max_n: int | None = No
     """Minimum double Roman dominating function weight with a witness.
 
     Branches in descending-degree order trying values 3, 2, 0; the witness
-    therefore never uses the value 1. Components on ROOT_DP_MIN_N or more
-    vertices of frontier width 4 or less whose root leaves a gap, and graphs
-    of that width over the size cap, are solved by the frontier DP over
-    {0,2,3}. With canonical=True the
-    witness is the lexicographically least optimal labeling over {0,2,3}.
+    therefore never uses the value 1. Each component is solved on its own in
+    one loop: one on ROOT_DP_MIN_N or more vertices of frontier width 4 or
+    less whose root leaves a gap goes to the frontier DP over {0,2,3}, as
+    does a graph of that width over the size cap, solved whole. With
+    canonical=True the witness is the lexicographically least optimal
+    labeling over {0,2,3}.
     """
     best_w, best_vals, nodes, method = _solve_labeling(
         g, "double_roman", canonical, _solver_cap(max_n)

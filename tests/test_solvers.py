@@ -866,6 +866,38 @@ def test_split_matches_the_whole_graph_search():
     assert min(sizes) > BRUTE_MAX_N_REDUCED and max(sizes) >= 25
 
 
+def test_components_on_different_routes_merge():
+    # P19 + 2x9 grid + K1, 38 vertices: within the cap each component takes
+    # its own route (the grid goes to the DP from its root for every
+    # invariant, P19 too for gamma_dR, the rest are searched), so the work is
+    # the parts' own counts plus one for the isolated vertex; under the
+    # default cap the DP solves the graph whole. Either way the canonical
+    # witness is the merge of the components' own canonical witnesses
+    parts = (path(19), grid2(9), trivial(1))
+    g = functools.reduce(disjoint_union, parts)
+
+    def values(name, r, n):
+        if name == "domination":
+            return tuple(int(v in r.witness) for v in range(n))
+        return r.witness.values
+
+    pins = {
+        # value, then (plain, canonical) nodes within the cap and under the default cap
+        "domination": (13, (197, 217), (172, 172)),
+        "roman": (24, (177, 197), (189, 189)),
+        "double_roman": (37, (406, 406), (403, 403)),
+    }
+    for name, solver in SOLVERS.items():
+        value, split, whole = pins[name]
+        merged = sum((values(name, solver(h, canonical=True), h.n) for h in parts), ())
+        for max_n, nodes in ((38, split), (None, whole)):
+            plain, r = solver(g, max_n=max_n), solver(g, canonical=True, max_n=max_n)
+            assert (plain.value, r.value) == (value, value), (name, max_n)
+            assert plain.method == r.method == "frontier_dp", (name, max_n)
+            assert (plain.nodes_explored, r.nodes_explored) == nodes, (name, max_n)
+            assert values(name, r, g.n) == merged, (name, max_n)
+
+
 def test_isolated_vertices_take_the_least_nonzero_value():
     # edgeless graphs, and one edge among isolated vertices: the isolated
     # vertices are labelled with no search, and the work count stays >= 1
